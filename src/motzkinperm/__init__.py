@@ -42,7 +42,7 @@ from .polys import MultiPoly
 from .schemes import scheme_for, scheme_names
 from .sequences import closed_form_counts
 from .series import Series
-from .subsets import SubsetId, is_member, membership_vector
+from .subsets import SubsetId, is_member
 
 __version__ = "0.1.0"
 
@@ -95,6 +95,5 @@ __all__ = [
     "Series",
     "SubsetId",
     "is_member",
-    "membership_vector",
     "__version__",
 ]

@@ -101,7 +101,7 @@ def census(
             ]
         else:
             values[SOURCE_BRUTE] = [
-                sweep_counts(n)[subset] for n in range(n_max + 1)
+                sum(1 for _ in members(n, subset)) for n in range(n_max + 1)
             ]
     if SOURCE_CFRAC in chosen:
         sch = scheme if scheme is not None else scheme_for(subset, marks)

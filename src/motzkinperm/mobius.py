@@ -14,6 +14,7 @@ n > 2, which reproduces the enumeration everywhere it is feasible to run.
 
 from __future__ import annotations
 
+from .oracle import MAX_BRUTE_N
 from .perms import avoids_classical, cyclic_permutations
 
 FAMILIES = ("213,312", "132,231", "321,2143,3142", "123,2413,3412")
@@ -88,6 +89,11 @@ def brute_count(family: str, n: int) -> int:
     key = _normalize_family(family)
     if n < 2:
         raise ValueError("counts are defined here for n >= 2")
+    if n > MAX_BRUTE_N:
+        raise ValueError(
+            f"brute-force count over size {n} would enumerate {n - 1}! "
+            f"cycles; the cap is {MAX_BRUTE_N}"
+        )
     patterns = [tuple(int(c) for c in pat) for pat in key.split(",")]
     count = 0
     for values in cyclic_permutations(n):

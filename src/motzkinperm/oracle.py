@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from . import _kernels
 from .perms import count_consecutive_123
 from .polys import VARS, MultiPoly
-from .subsets import SubsetId, is_member, membership_vector
+from .subsets import SubsetId, is_member
 
 MAX_BRUTE_N = 9
 
@@ -120,12 +120,19 @@ def distribution_series(
 
 
 def sweep_counts(n: int) -> dict[SubsetId, int]:
-    """Cardinality of every supported class at size n, in one pass."""
+    """Cardinality of every supported class at size n, in one pass.
+
+    Each base predicate runs once per permutation, however many classes
+    require it.
+    """
     _check_size(n)
+    requires = {subset: subset.spec.requires for subset in SubsetId}
+    predicates = set().union(*requires.values())
     counts = {subset: 0 for subset in SubsetId}
     for values in permutations(range(1, n + 1)):
-        for subset, ok in membership_vector(values).items():
-            if ok:
+        holds = {p for p in predicates if p(values)}
+        for subset, preds in requires.items():
+            if holds.issuperset(preds):
                 counts[subset] += 1
     return counts
 
@@ -146,26 +153,6 @@ def consecutive_123_distribution(n: int) -> MultiPoly:
         key = (0, 0, count_consecutive_123(values), 0, 0)
         acc[key] = acc.get(key, 0) + 1
     return MultiPoly(acc)
-
-
-def alternating_count(n: int) -> int:
-    """Permutations rising first and then strictly alternating in direction."""
-    _check_size(n)
-    if n <= 1:
-        return 1
-    total = 0
-    for values in permutations(range(1, n + 1)):
-        ok = True
-        for i in range(n - 1):
-            if i % 2 == 0:
-                ok = values[i] < values[i + 1]
-            else:
-                ok = values[i] > values[i + 1]
-            if not ok:
-                break
-        if ok:
-            total += 1
-    return total
 
 
 def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -256,13 +256,21 @@ class StatVector:
         )
 
 
+def _require_permutation(values: Sequence[int]) -> None:
+    n = len(values)
+    if sorted(values) != list(range(1, n + 1)):
+        raise ValueError(f"not a rearrangement of 1..{n}: {values!r}")
+
+
 def stats(values: Sequence[int]) -> StatVector:
-    """Statistics of a permutation.
+    """Statistics of a permutation; ValueError if ``values`` is not one.
 
     >>> stats((5, 7, 2, 4, 3, 8, 1, 6, 9, 12, 10, 11))
     StatVector(fixed_points=2, excedances=4, double_excedances=0, cycles=5, inversions=17)
     """
-    return StatVector(*_kernels.stat_tuple(tuple(values)))
+    values = tuple(values)
+    _require_permutation(values)
+    return StatVector(*_kernels.stat_tuple(values))
 
 
 def foata(values: Sequence[int]) -> tuple[int, ...]:
@@ -323,26 +331,6 @@ def avoids_classical(values: Sequence[int], pattern: Sequence[int]) -> bool:
     return not contains_classical(values, pattern)
 
 
-def avoids_321_by_split(values: Sequence[int]) -> bool:
-    """321-avoidance via the excedance split.
-
-    A permutation avoids a falling triple exactly when its excedance values
-    and its non-excedance values each increase left to right.
-    """
-    last_exc = 0
-    last_rest = 0
-    for i, v in enumerate(values, start=1):
-        if v > i:
-            if v < last_exc:
-                return False
-            last_exc = v
-        else:
-            if v < last_rest:
-                return False
-            last_rest = v
-    return True
-
-
 def random_permutation(n: int, rng) -> tuple[int, ...]:
     """Uniform permutation from a seeded generator (Fisher-Yates)."""
     vals = list(range(1, n + 1))
@@ -388,11 +376,7 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.values)
-        if sorted(self.values) != list(range(1, n + 1)):
-            raise ValueError(
-                f"not a rearrangement of 1..{n}: {self.values!r}"
-            )
+        _require_permutation(self.values)
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -435,6 +419,3 @@ class Permutation:
 
     def foata(self) -> "Permutation":
         return Permutation(foata(self.values))
-
-    def is_involution(self) -> bool:
-        return all(self.values[v - 1] == i + 1 for i, v in enumerate(self.values))

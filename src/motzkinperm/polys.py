@@ -233,7 +233,3 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.coeffs!r})"
 
-
-def stat_monomial(exponents: Iterable[int]) -> MultiPoly:
-    """Monomial for a statistic vector in (x, v, w, t, q) exponent order."""
-    return MultiPoly.monomial(exponents)

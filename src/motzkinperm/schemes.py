@@ -1,72 +1,42 @@
-"""The catalogue of weight schemes, one per supported permutation class.
+"""Weight schemes built from the class records, plus the run-statistic scheme.
 
-Each builder takes the set of statistic markers to keep (subset of x, v, w,
-t, q); markers left out are evaluated at 1, so one parametrised scheme serves
-both the refined census and plain counting.  Requesting a marker a class
-cannot carry raises ValueError rather than silently producing wrong weights.
+A scheme keeps a chosen set of statistic markers (subset of x, v, w, t, q);
+markers left out are evaluated at 1, so one parametrised record serves both
+the refined census and plain counting.  Requesting a marker a class cannot
+carry raises ValueError rather than silently producing wrong weights.
 
-The height-h step weights encode how many diagram rays each step could act
-on and which statistics the choice changes.  Classes whose members are single
-cycles use elevated paths; everything else uses grounded paths.
+The height-h step weights, read from :data:`motzkinperm.subsets.CLASSES`,
+encode how many diagram rays each step could act on and which statistics the
+choice changes.  Classes whose members are single cycles use elevated paths;
+everything else uses grounded paths.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from .cfrac import WeightScheme
 from .polys import VARS, MultiPoly
-from .subsets import SubsetId
+from .subsets import ClassSpec, SubsetId
 
-_ZERO = MultiPoly.zero()
-_ONE = MultiPoly.one()
-
-SUPPORTED_MARKS: dict[SubsetId, frozenset] = {
-    SubsetId.ALL: frozenset("xvwtq"),
-    SubsetId.CYCLIC: frozenset("xvw"),
-    SubsetId.AVOID321: frozenset("xvwq"),
-    SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: frozenset("xvwtq"),
-    SubsetId.NONCROSSING: frozenset("xvw"),
-    SubsetId.INCREASING_EXC: frozenset("xvwt"),
-    SubsetId.INCREASING_WEAK_EXC: frozenset("xvwt"),
-    SubsetId.CYCLIC_INCREASING_EXC: frozenset("xvw"),
-    SubsetId.UNIMODAL_CYCLES: frozenset("xvwt"),
-    SubsetId.UNIMODAL_CYCLES_INCREASING_EXC: frozenset("xvwt"),
-    SubsetId.INCREASING_EXC_AND_DEF: frozenset("xvwq"),
-    SubsetId.UNIMODAL_NONCROSSING: frozenset("xvwtq"),
-    SubsetId.NO_DOUBLE_EXC_OR_DEF: frozenset("xvwt"),
-    SubsetId.INVOLUTIONS: frozenset("xvwtq"),
-    SubsetId.INVOLUTIONS321: frozenset("xvwtq"),
+# Schemes that describe a statistic over all permutations rather than a class.
+EXTRA_SCHEMES: dict[str, ClassSpec] = {
+    # w marks rising runs of three adjacent entries
+    "Consecutive123": ClassSpec(
+        (), "w",
+        down=lambda h, x, v, w, t, q: h * h,
+        level=lambda h, x, v, w, t, q: (1, h * w, h),
+    ),
 }
-
-EXTRA_SCHEMES = ("Consecutive123",)
 
 
 def scheme_names() -> tuple[str, ...]:
-    return tuple(s.value for s in SubsetId) + EXTRA_SCHEMES
+    return tuple(s.value for s in SubsetId) + tuple(EXTRA_SCHEMES)
 
 
-def _marked_vars(marks: frozenset) -> tuple[MultiPoly, ...]:
-    """(x, v, w, t, q) with unrequested markers collapsed to 1."""
-    return tuple(
-        MultiPoly.var(name) if name in marks else _ONE for name in VARS
-    )
-
-
-def _qbracket(q: MultiPoly, h: int) -> MultiPoly:
-    """1 + q + ... + q^(h-1); zero when h is 0."""
-    acc = MultiPoly.zero()
-    for i in range(h):
-        acc = acc + q ** i
-    return acc
-
-
-def _qbracket_step2(q: MultiPoly, h: int) -> MultiPoly:
-    """1 + q^2 + ... + q^(2h-2); zero when h is 0."""
-    acc = MultiPoly.zero()
-    for i in range(h):
-        acc = acc + q ** (2 * i)
-    return acc
+def _poly(weight: MultiPoly | int) -> MultiPoly:
+    return weight if isinstance(weight, MultiPoly) else MultiPoly.const(weight)
 
 
 def scheme_for(
@@ -80,11 +50,12 @@ def scheme_for(
     """
     name = subset.value if isinstance(subset, SubsetId) else str(subset)
     if name in EXTRA_SCHEMES:
-        supported = frozenset("w")
+        spec = EXTRA_SCHEMES[name]
         subset_id = None
     else:
         subset_id = SubsetId.from_name(name)
-        supported = SUPPORTED_MARKS[subset_id]
+        spec = subset_id.spec
+    supported = frozenset(spec.marks)
 
     if marks is None:
         chosen = supported
@@ -107,322 +78,19 @@ def scheme_for(
             "the inversion marker q in one scheme; drop one of them"
         )
 
-    builder = _BUILDERS[name]
-    return builder(chosen)
+    xvwtq = tuple(MultiPoly.var(m) if m in chosen else MultiPoly.one() for m in VARS)
 
-
-def _build_all(marks: frozenset) -> WeightScheme:
-    x, v, w, t, q = _marked_vars(marks)
-    if "q" in marks:
-        def down(h: int) -> MultiPoly:
-            return v * q ** (2 * h - 1) * _qbracket(q, h) ** 2
-
-        def fixed(h: int) -> MultiPoly:
-            return x * q ** (2 * h)
-
-        def upper(h: int) -> MultiPoly:
-            return v * w * q ** h * _qbracket(q, h)
-
-        def lower(h: int) -> MultiPoly:
-            return q ** h * _qbracket(q, h)
-    else:
-        def down(h: int) -> MultiPoly:
-            return v * (h * (t + (h - 1)))
-
-        def fixed(h: int) -> MultiPoly:
-            return x * t
-
-        def upper(h: int) -> MultiPoly:
-            return h * (v * w)
-
-        def lower(h: int) -> MultiPoly:
-            return MultiPoly.const(h)
-
-    return WeightScheme("All", down, fixed, upper, lower, marks=marks)
-
-
-def _build_cyclic(marks: frozenset) -> WeightScheme:
-    x, v, w, _, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v if h == 1 else (h * (h - 1)) * v
-
-    def fixed(h: int) -> MultiPoly:
-        return x if h == 0 else _ZERO
-
-    def upper(h: int) -> MultiPoly:
-        return h * (v * w)
-
-    def lower(h: int) -> MultiPoly:
-        return MultiPoly.const(h)
-
-    return WeightScheme("Cyclic", down, fixed, upper, lower, elevated=True, marks=marks)
-
-
-def _build_avoid321(marks: frozenset) -> WeightScheme:
-    x, v, w, _, q = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * q ** (2 * h - 1)
-
-    def fixed(h: int) -> MultiPoly:
-        return x if h == 0 else _ZERO
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w * q ** h
-
-    def lower(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else q ** h
-
-    return WeightScheme("Avoid321", down, fixed, upper, lower, marks=marks)
-
-
-def _build_unimodal_noncrossing_no_nested_fp(marks: frozenset) -> WeightScheme:
-    x, v, w, t, q = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * t * q ** (4 * h - 3)
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t if h == 0 else _ZERO
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w * q ** (2 * h - 1)
-
-    def lower(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else q ** (2 * h - 1)
+    @cache
+    def level(h: int) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+        fixed, upper, lower = spec.level(h, *xvwtq)
+        return _poly(fixed), _poly(upper), _poly(lower)
 
     return WeightScheme(
-        "UnimodalNoncrossingNoNestedFp", down, fixed, upper, lower, marks=marks
+        name,
+        down=lambda h: _poly(spec.down(h, *xvwtq)),
+        level_fixed=lambda h: level(h)[0],
+        level_upper=lambda h: level(h)[1],
+        level_lower=lambda h: level(h)[2],
+        elevated=spec.elevated,
+        marks=chosen,
     )
-
-
-def _build_noncrossing(marks: frozenset) -> WeightScheme:
-    x, v, _, _, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v
-
-    def fixed(h: int) -> MultiPoly:
-        return x
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO
-
-    def lower(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else _ONE
-
-    return WeightScheme("Noncrossing", down, fixed, upper, lower, marks=marks)
-
-
-def _build_increasing_exc(marks: frozenset) -> WeightScheme:
-    x, v, w, t, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * (t + (h - 1))
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w
-
-    def lower(h: int) -> MultiPoly:
-        return MultiPoly.const(h)
-
-    return WeightScheme("IncreasingExc", down, fixed, upper, lower, marks=marks)
-
-
-def _build_increasing_weak_exc(marks: frozenset) -> WeightScheme:
-    x, v, w, t, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * (t + (h - 1))
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t if h == 0 else _ZERO
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w
-
-    def lower(h: int) -> MultiPoly:
-        return MultiPoly.const(h)
-
-    return WeightScheme("IncreasingWeakExc", down, fixed, upper, lower, marks=marks)
-
-
-def _build_cyclic_increasing_exc(marks: frozenset) -> WeightScheme:
-    x, v, w, _, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v if h == 1 else (h - 1) * v
-
-    def fixed(h: int) -> MultiPoly:
-        return x if h == 0 else _ZERO
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w
-
-    def lower(h: int) -> MultiPoly:
-        return MultiPoly.const(h)
-
-    return WeightScheme(
-        "CyclicIncreasingExc", down, fixed, upper, lower, elevated=True, marks=marks
-    )
-
-
-def _build_unimodal_cycles(marks: frozenset) -> WeightScheme:
-    x, v, w, t, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return h * (v * t)
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t
-
-    def upper(h: int) -> MultiPoly:
-        return h * (v * w)
-
-    def lower(h: int) -> MultiPoly:
-        return MultiPoly.const(h)
-
-    return WeightScheme("UnimodalCycles", down, fixed, upper, lower, marks=marks)
-
-
-def _build_unimodal_cycles_increasing_exc(marks: frozenset) -> WeightScheme:
-    x, v, w, t, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * t
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w
-
-    def lower(h: int) -> MultiPoly:
-        return MultiPoly.const(h)
-
-    return WeightScheme(
-        "UnimodalCyclesIncreasingExc", down, fixed, upper, lower, marks=marks
-    )
-
-
-def _build_increasing_exc_and_def(marks: frozenset) -> WeightScheme:
-    x, v, w, _, q = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * q ** (2 * h - 1)
-
-    def fixed(h: int) -> MultiPoly:
-        return x * q ** (2 * h)
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w * q ** h
-
-    def lower(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else q ** h
-
-    return WeightScheme("IncreasingExcAndDef", down, fixed, upper, lower, marks=marks)
-
-
-def _build_unimodal_noncrossing(marks: frozenset) -> WeightScheme:
-    x, v, w, t, q = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * t * q ** (4 * h - 3)
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t * q ** (2 * h)
-
-    def upper(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else v * w * q ** (2 * h - 1)
-
-    def lower(h: int) -> MultiPoly:
-        return _ZERO if h == 0 else q ** (2 * h - 1)
-
-    return WeightScheme("UnimodalNoncrossing", down, fixed, upper, lower, marks=marks)
-
-
-def _build_no_double_exc_or_def(marks: frozenset) -> WeightScheme:
-    x, v, _, t, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * (h * (t + (h - 1)))
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t
-
-    def zero(h: int) -> MultiPoly:
-        return _ZERO
-
-    return WeightScheme("NoDoubleExcOrDef", down, fixed, zero, zero, marks=marks)
-
-
-def _build_involutions(marks: frozenset) -> WeightScheme:
-    x, v, _, t, q = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * t * q ** (2 * h - 1) * _qbracket_step2(q, h)
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t * q ** (2 * h)
-
-    def zero(h: int) -> MultiPoly:
-        return _ZERO
-
-    return WeightScheme("Involutions", down, fixed, zero, zero, marks=marks)
-
-
-def _build_involutions_321(marks: frozenset) -> WeightScheme:
-    x, v, _, t, q = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return v * t * q ** (2 * h - 1)
-
-    def fixed(h: int) -> MultiPoly:
-        return x * t if h == 0 else _ZERO
-
-    def zero(h: int) -> MultiPoly:
-        return _ZERO
-
-    return WeightScheme("Involutions321", down, fixed, zero, zero, marks=marks)
-
-
-def _build_consecutive_123(marks: frozenset) -> WeightScheme:
-    _, _, w, _, _ = _marked_vars(marks)
-
-    def down(h: int) -> MultiPoly:
-        return MultiPoly.const(h * h)
-
-    def fixed(h: int) -> MultiPoly:
-        return _ONE
-
-    def upper(h: int) -> MultiPoly:
-        return h * w
-
-    def lower(h: int) -> MultiPoly:
-        return MultiPoly.const(h)
-
-    return WeightScheme("Consecutive123", down, fixed, upper, lower, marks=marks)
-
-
-_BUILDERS = {
-    "All": _build_all,
-    "Cyclic": _build_cyclic,
-    "Avoid321": _build_avoid321,
-    "UnimodalNoncrossingNoNestedFp": _build_unimodal_noncrossing_no_nested_fp,
-    "Noncrossing": _build_noncrossing,
-    "IncreasingExc": _build_increasing_exc,
-    "IncreasingWeakExc": _build_increasing_weak_exc,
-    "CyclicIncreasingExc": _build_cyclic_increasing_exc,
-    "UnimodalCycles": _build_unimodal_cycles,
-    "UnimodalCyclesIncreasingExc": _build_unimodal_cycles_increasing_exc,
-    "IncreasingExcAndDef": _build_increasing_exc_and_def,
-    "UnimodalNoncrossing": _build_unimodal_noncrossing,
-    "NoDoubleExcOrDef": _build_no_double_exc_or_def,
-    "Involutions": _build_involutions,
-    "Involutions321": _build_involutions_321,
-    "Consecutive123": _build_consecutive_123,
-}

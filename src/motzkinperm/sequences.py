@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 from .cfrac import jfraction_series
 from .series import Series
-from .subsets import SubsetId
+
+if TYPE_CHECKING:
+    from .subsets import SubsetId
 
 
 def factorials(n_max: int) -> list[int]:
@@ -243,28 +246,5 @@ def ogf_catalan_counts(n_max: int) -> list[int]:
 
 def closed_form_counts(subset: SubsetId, n_max: int) -> list[int] | None:
     """Known count formula for a class, or None where no product form exists."""
-    if subset is SubsetId.ALL:
-        return factorials(n_max)
-    if subset is SubsetId.CYCLIC:
-        return [0] + [factorial(n - 1) for n in range(1, n_max + 1)]
-    if subset in (
-        SubsetId.AVOID321,
-        SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP,
-        SubsetId.NONCROSSING,
-    ):
-        return catalan_numbers(n_max)
-    if subset is SubsetId.INCREASING_WEAK_EXC:
-        return bell_numbers(n_max)
-    if subset is SubsetId.CYCLIC_INCREASING_EXC:
-        return [0] + bell_numbers(n_max - 1) if n_max >= 1 else [0]
-    if subset is SubsetId.UNIMODAL_CYCLES:
-        return egf_unimodal_cycle_counts(n_max)
-    if subset in (SubsetId.INCREASING_EXC_AND_DEF, SubsetId.UNIMODAL_NONCROSSING):
-        return ogf_increasing_exc_def_counts(n_max)
-    if subset is SubsetId.NO_DOUBLE_EXC_OR_DEF:
-        return egf_no_double_step_counts(n_max)
-    if subset is SubsetId.INVOLUTIONS:
-        return egf_involution_counts(n_max)
-    if subset is SubsetId.INVOLUTIONS321:
-        return [comb(n, n // 2) for n in range(n_max + 1)]
-    return None
+    closed = subset.spec.closed
+    return None if closed is None else closed(n_max)

@@ -1,16 +1,31 @@
-"""Membership predicates for the permutation families under study.
+"""The permutation classes under study, one record per class.
 
-Each predicate is evaluated directly on the one-line values (the noncrossing
-family is the exception: its definition is a discipline on the diagram
-replay, so it reads the ray-choice transcript).
+Each class is a conjunction of base membership predicates together with the
+step weights its members induce on colored Motzkin paths and, where one is
+known, a closed form for its counts; :data:`CLASSES` holds one
+:class:`ClassSpec` per :class:`SubsetId`, and adding a class means adding one
+record there.  The predicates are evaluated directly on the one-line values
+(the noncrossing family is the exception: its definition is a discipline on
+the diagram replay, so it reads the ray-choice transcript).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from dataclasses import dataclass
+from math import comb
+from typing import Callable, Sequence
 
 from .perms import DiagonalType, classify_entries, cycle_list, ray_choices
+from .sequences import (
+    bell_numbers,
+    catalan_numbers,
+    egf_involution_counts,
+    egf_no_double_step_counts,
+    egf_unimodal_cycle_counts,
+    factorials,
+    ogf_increasing_exc_def_counts,
+)
 
 
 class SubsetId(enum.Enum):
@@ -39,6 +54,10 @@ class SubsetId(enum.Enum):
             f"unknown subset {name!r}; choose from "
             + ", ".join(m.value for m in cls)
         )
+
+    @property
+    def spec(self) -> "ClassSpec":
+        return CLASSES[self]
 
 
 def is_cyclic(values: Sequence[int]) -> bool:
@@ -118,8 +137,8 @@ def has_noncrossing_cycles(values: Sequence[int]) -> bool:
     return True
 
 
-def has_nested_fixed_point(values: Sequence[int]) -> bool:
-    """Some fixed point j sits under an arc: i < j < k with pi(i)=k or pi(k)=i."""
+def has_no_nested_fixed_point(values: Sequence[int]) -> bool:
+    """No fixed point j sits under an arc: i < j < k with pi(i)=k or pi(k)=i."""
     n = len(values)
     prefix_max = 0
     suffix_min = [0] * (n + 2)
@@ -129,9 +148,9 @@ def has_nested_fixed_point(values: Sequence[int]) -> bool:
     for j in range(1, n + 1):
         v = values[j - 1]
         if v == j and (prefix_max > j or suffix_min[j + 1] < j):
-            return True
+            return False
         prefix_max = max(prefix_max, v)
-    return False
+    return True
 
 
 def has_no_double_excedance_or_deficiency(values: Sequence[int]) -> bool:
@@ -167,70 +186,144 @@ def is_noncrossing(values: Sequence[int]) -> bool:
     return True
 
 
+def _qbracket(q, h: int):
+    """1 + q + ... + q^(h-1); zero when h is 0."""
+    return sum((q**i for i in range(h)), 0)
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """One permutation class: membership, path step weights and closed form.
+
+    ``requires`` is a conjunction of base predicates on the one-line values.
+    ``down(h, x, v, w, t, q)`` is the total weight of a down step falling
+    from height h >= 1, and ``level(h, x, v, w, t, q)`` returns the level
+    weights at height h split as (fixed, upper bounce, lower bounce); markers
+    outside ``marks`` are passed as 1.  Elevated classes count paths whose
+    interior stays above height 0.  ``closed(n)`` gives the counts for sizes
+    0..n, or is None when the class has no closed form.
+    """
+
+    requires: tuple[Callable[[Sequence[int]], bool], ...]
+    marks: str
+    down: Callable[..., object]
+    level: Callable[..., tuple]
+    elevated: bool = False
+    closed: Callable[[int], list[int]] | None = None
+
+
+CLASSES: dict[SubsetId, ClassSpec] = {
+    # t and q are never marked together here (see schemes.scheme_for): at
+    # q = 1 the weights count cycles, at t = 1 they count inversions.
+    SubsetId.ALL: ClassSpec(
+        (), "xvwtq",
+        down=lambda h, x, v, w, t, q: (
+            v * q ** (2 * h - 1) * (b := _qbracket(q, h)) * (b + t - 1)
+        ),
+        level=lambda h, x, v, w, t, q: (
+            x * t * q ** (2 * h),
+            v * w * (lower := q**h * _qbracket(q, h)),
+            lower,
+        ),
+        closed=factorials,
+    ),
+    SubsetId.CYCLIC: ClassSpec(
+        (is_cyclic,), "xvw",
+        down=lambda h, x, v, w, t, q: v if h == 1 else h * (h - 1) * v,
+        level=lambda h, x, v, w, t, q: (x if h == 0 else 0, h * v * w, h),
+        elevated=True,
+        closed=lambda n: ([0] + factorials(n - 1))[: n + 1],
+    ),
+    SubsetId.AVOID321: ClassSpec(
+        (avoids_321,), "xvwq",
+        down=lambda h, x, v, w, t, q: v * q ** (2 * h - 1),
+        level=lambda h, x, v, w, t, q: (
+            (x, 0, 0) if h == 0 else (0, v * w * q**h, q**h)
+        ),
+        closed=catalan_numbers,
+    ),
+    SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: ClassSpec(
+        (has_unimodal_cycles, has_noncrossing_cycles, has_no_nested_fixed_point),
+        "xvwtq",
+        down=lambda h, x, v, w, t, q: v * t * q ** (4 * h - 3),
+        level=lambda h, x, v, w, t, q: (
+            (x * t, 0, 0) if h == 0
+            else (0, v * w * q ** (2 * h - 1), q ** (2 * h - 1))
+        ),
+        closed=catalan_numbers,
+    ),
+    SubsetId.NONCROSSING: ClassSpec(
+        (is_noncrossing,), "xvw",
+        down=lambda h, x, v, w, t, q: v,
+        level=lambda h, x, v, w, t, q: (x, 0, 0 if h == 0 else 1),
+        closed=catalan_numbers,
+    ),
+    SubsetId.INCREASING_EXC: ClassSpec(
+        (has_increasing_excedance_values,), "xvwt",
+        down=lambda h, x, v, w, t, q: v * (t + h - 1),
+        level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
+    ),
+    SubsetId.INCREASING_WEAK_EXC: ClassSpec(
+        (has_increasing_weak_excedance_values,), "xvwt",
+        down=lambda h, x, v, w, t, q: v * (t + h - 1),
+        level=lambda h, x, v, w, t, q: (x * t, 0, 0) if h == 0 else (0, v * w, h),
+        closed=bell_numbers,
+    ),
+    SubsetId.CYCLIC_INCREASING_EXC: ClassSpec(
+        (is_cyclic, has_increasing_excedance_values), "xvw",
+        down=lambda h, x, v, w, t, q: v if h == 1 else (h - 1) * v,
+        level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * w, h),
+        elevated=True,
+        closed=lambda n: ([0] + bell_numbers(n - 1))[: n + 1],
+    ),
+    SubsetId.UNIMODAL_CYCLES: ClassSpec(
+        (has_unimodal_cycles,), "xvwt",
+        down=lambda h, x, v, w, t, q: h * v * t,
+        level=lambda h, x, v, w, t, q: (x * t, h * v * w, h),
+        closed=egf_unimodal_cycle_counts,
+    ),
+    SubsetId.UNIMODAL_CYCLES_INCREASING_EXC: ClassSpec(
+        (has_unimodal_cycles, has_increasing_excedance_values), "xvwt",
+        down=lambda h, x, v, w, t, q: v * t,
+        level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
+    ),
+    SubsetId.INCREASING_EXC_AND_DEF: ClassSpec(
+        (has_increasing_excedance_values, has_increasing_deficiency_values), "xvwq",
+        down=lambda h, x, v, w, t, q: v * q ** (2 * h - 1),
+        level=lambda h, x, v, w, t, q: (
+            (x, 0, 0) if h == 0 else (x * q ** (2 * h), v * w * q**h, q**h)
+        ),
+        closed=ogf_increasing_exc_def_counts,
+    ),
+    SubsetId.UNIMODAL_NONCROSSING: ClassSpec(
+        (has_unimodal_cycles, has_noncrossing_cycles), "xvwtq",
+        down=lambda h, x, v, w, t, q: v * t * q ** (4 * h - 3),
+        level=lambda h, x, v, w, t, q: (
+            (x * t, 0, 0) if h == 0
+            else (x * t * q ** (2 * h), v * w * q ** (2 * h - 1), q ** (2 * h - 1))
+        ),
+        closed=ogf_increasing_exc_def_counts,
+    ),
+    SubsetId.NO_DOUBLE_EXC_OR_DEF: ClassSpec(
+        (has_no_double_excedance_or_deficiency,), "xvwt",
+        down=lambda h, x, v, w, t, q: v * h * (t + h - 1),
+        level=lambda h, x, v, w, t, q: (x * t, 0, 0),
+        closed=egf_no_double_step_counts,
+    ),
+    SubsetId.INVOLUTIONS: ClassSpec(
+        (is_involution,), "xvwtq",
+        down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1) * _qbracket(q * q, h),
+        level=lambda h, x, v, w, t, q: (x * t * q ** (2 * h), 0, 0),
+        closed=egf_involution_counts,
+    ),
+    SubsetId.INVOLUTIONS321: ClassSpec(
+        (is_involution, avoids_321), "xvwtq",
+        down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1),
+        level=lambda h, x, v, w, t, q: (x * t if h == 0 else 0, 0, 0),
+        closed=lambda n: [comb(k, k // 2) for k in range(n + 1)],
+    ),
+}
+
+
 def is_member(values: Sequence[int], subset: SubsetId) -> bool:
-    if subset is SubsetId.ALL:
-        return True
-    if subset is SubsetId.CYCLIC:
-        return is_cyclic(values)
-    if subset is SubsetId.AVOID321:
-        return avoids_321(values)
-    if subset is SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP:
-        return (
-            has_unimodal_cycles(values)
-            and has_noncrossing_cycles(values)
-            and not has_nested_fixed_point(values)
-        )
-    if subset is SubsetId.NONCROSSING:
-        return is_noncrossing(values)
-    if subset is SubsetId.INCREASING_EXC:
-        return has_increasing_excedance_values(values)
-    if subset is SubsetId.INCREASING_WEAK_EXC:
-        return has_increasing_weak_excedance_values(values)
-    if subset is SubsetId.CYCLIC_INCREASING_EXC:
-        return is_cyclic(values) and has_increasing_excedance_values(values)
-    if subset is SubsetId.UNIMODAL_CYCLES:
-        return has_unimodal_cycles(values)
-    if subset is SubsetId.UNIMODAL_CYCLES_INCREASING_EXC:
-        return has_unimodal_cycles(values) and has_increasing_excedance_values(values)
-    if subset is SubsetId.INCREASING_EXC_AND_DEF:
-        return has_increasing_excedance_values(values) and has_increasing_deficiency_values(values)
-    if subset is SubsetId.UNIMODAL_NONCROSSING:
-        return has_unimodal_cycles(values) and has_noncrossing_cycles(values)
-    if subset is SubsetId.NO_DOUBLE_EXC_OR_DEF:
-        return has_no_double_excedance_or_deficiency(values)
-    if subset is SubsetId.INVOLUTIONS:
-        return is_involution(values)
-    if subset is SubsetId.INVOLUTIONS321:
-        return is_involution(values) and avoids_321(values)
-    raise ValueError(f"unhandled subset {subset!r}")
-
-
-def membership_vector(values: Sequence[int]) -> dict[SubsetId, bool]:
-    """All fifteen memberships at once, sharing the expensive intermediates."""
-    cyclic = is_cyclic(values)
-    inc_exc = has_increasing_excedance_values(values)
-    unimodal = has_unimodal_cycles(values)
-    noncross_cycles = has_noncrossing_cycles(values)
-    avoid = avoids_321(values)
-    involution = is_involution(values)
-    return {
-        SubsetId.ALL: True,
-        SubsetId.CYCLIC: cyclic,
-        SubsetId.AVOID321: avoid,
-        SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: (
-            unimodal and noncross_cycles and not has_nested_fixed_point(values)
-        ),
-        SubsetId.NONCROSSING: is_noncrossing(values),
-        SubsetId.INCREASING_EXC: inc_exc,
-        SubsetId.INCREASING_WEAK_EXC: has_increasing_weak_excedance_values(values),
-        SubsetId.CYCLIC_INCREASING_EXC: cyclic and inc_exc,
-        SubsetId.UNIMODAL_CYCLES: unimodal,
-        SubsetId.UNIMODAL_CYCLES_INCREASING_EXC: unimodal and inc_exc,
-        SubsetId.INCREASING_EXC_AND_DEF: (
-            inc_exc and has_increasing_deficiency_values(values)
-        ),
-        SubsetId.UNIMODAL_NONCROSSING: unimodal and noncross_cycles,
-        SubsetId.NO_DOUBLE_EXC_OR_DEF: has_no_double_excedance_or_deficiency(values),
-        SubsetId.INVOLUTIONS: involution,
-        SubsetId.INVOLUTIONS321: involution and avoid,
-    }
+    return all(p(values) for p in subset.spec.requires)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import motzkinperm.mobius
 from motzkinperm.mobius import FAMILIES, brute_count, mobius_count, mobius_value
+from motzkinperm.oracle import MAX_BRUTE_N
 
 
 def test_mobius_function_values():
@@ -40,6 +42,16 @@ def test_formulas_match_brute_force():
     for family in FAMILIES:
         for n in range(2, 8):
             assert mobius_count(family, n) == brute_count(family, n), (family, n)
+
+
+def test_brute_count_is_capped_before_enumerating(monkeypatch):
+    def enumerate_nothing(n):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(motzkinperm.mobius, "cyclic_permutations", enumerate_nothing)
+    for n in (MAX_BRUTE_N + 1, 15):
+        with pytest.raises(ValueError, match="the cap is"):
+            brute_count(FAMILIES[0], n)
 
 
 def test_small_sizes_are_rejected():

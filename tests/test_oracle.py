@@ -8,7 +8,6 @@ import pytest
 
 from motzkinperm.oracle import (
     MAX_BRUTE_N,
-    alternating_count,
     consecutive_123_distribution,
     distribution,
     distribution_series,
@@ -18,7 +17,7 @@ from motzkinperm.oracle import (
     worker_count,
 )
 from motzkinperm.perms import count_consecutive_123, stats
-from motzkinperm.polys import MultiPoly, stat_monomial
+from motzkinperm.polys import MultiPoly
 from motzkinperm.subsets import SubsetId, is_member
 
 from conftest import all_perms
@@ -28,7 +27,7 @@ def test_distribution_matches_a_direct_tally():
     for n in range(6):
         expected = MultiPoly.zero()
         for perm in all_perms(n):
-            expected = expected + stat_monomial(stats(perm).monomial_exponents())
+            expected = expected + MultiPoly.monomial(stats(perm).monomial_exponents())
         assert distribution(n, SubsetId.ALL, "xvwtq") == expected
 
 
@@ -46,7 +45,7 @@ def test_distribution_restricted_to_a_subset():
         expected = MultiPoly.zero()
         for perm in all_perms(n):
             if is_member(perm, SubsetId.INVOLUTIONS):
-                expected = expected + stat_monomial(stats(perm).monomial_exponents())
+                expected = expected + MultiPoly.monomial(stats(perm).monomial_exponents())
         assert distribution(n, SubsetId.INVOLUTIONS, "xvwtq") == expected
 
 
@@ -114,10 +113,6 @@ def test_consecutive_123_distribution_uses_only_w():
         for perm in all_perms(n):
             direct = direct + w ** count_consecutive_123(perm)
         assert poly == direct
-
-
-def test_alternating_count_small_values():
-    assert [alternating_count(n) for n in range(7)] == [1, 1, 1, 2, 5, 16, 61]
 
 
 def test_set_partitions_are_canonical_and_complete():

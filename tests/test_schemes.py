@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from motzkinperm.oracle import consecutive_123_distribution, distribution
-from motzkinperm.schemes import EXTRA_SCHEMES, SUPPORTED_MARKS, scheme_for, scheme_names
+from motzkinperm.schemes import EXTRA_SCHEMES, scheme_for, scheme_names
 from motzkinperm.sequences import (
     bell_numbers,
     catalan_numbers,
@@ -34,7 +34,7 @@ def test_lookup_by_subset_and_by_name_agree():
 
 def test_default_marks_are_the_supported_ones():
     for subset in SubsetId:
-        expected = SUPPORTED_MARKS[subset]
+        expected = frozenset(subset.spec.marks)
         if subset is SubsetId.ALL:
             expected = frozenset("xvwt")
         assert scheme_for(subset).marks == expected

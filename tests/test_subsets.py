@@ -9,14 +9,13 @@ from motzkinperm.subsets import (
     SubsetId,
     avoids_321,
     has_increasing_excedance_values,
-    has_nested_fixed_point,
+    has_no_nested_fixed_point,
     has_no_double_excedance_or_deficiency,
     has_noncrossing_cycles,
     has_unimodal_cycles,
     is_involution,
     is_member,
     is_noncrossing,
-    membership_vector,
 )
 
 from conftest import all_perms
@@ -27,14 +26,6 @@ def test_subset_names_round_trip():
         assert SubsetId.from_name(subset.value) is subset
     with pytest.raises(ValueError):
         SubsetId.from_name("NoSuchClass")
-
-
-def test_membership_vector_matches_individual_predicates():
-    for n in range(7):
-        for perm in all_perms(n):
-            vector = membership_vector(perm)
-            for subset in SubsetId:
-                assert vector[subset] == is_member(perm, subset)
 
 
 def test_everything_is_in_the_full_class():
@@ -85,9 +76,9 @@ def test_noncrossing_class_is_noncrossing_decreasing_cycles():
 
 
 def test_nested_fixed_point_detection():
-    assert has_nested_fixed_point((3, 2, 1))  # arc 1 -> 3 straddles fixed 2
-    assert not has_nested_fixed_point((1, 2, 3))
-    assert not has_nested_fixed_point((2, 1, 3))  # fixed point outside the arc
+    assert not has_no_nested_fixed_point((3, 2, 1))  # arc 1 -> 3 straddles fixed 2
+    assert has_no_nested_fixed_point((1, 2, 3))
+    assert has_no_nested_fixed_point((2, 1, 3))  # fixed point outside the arc
 
 
 def test_no_double_excedance_or_deficiency_against_definition():
