@@ -80,6 +80,7 @@ def scheme_for(
 
     xvwtq = tuple(MultiPoly.var(m) if m in chosen else MultiPoly.one() for m in VARS)
 
+    # WeightScheme reads the three level parts separately; build them once per height.
     @cache
     def level(h: int) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
         fixed, upper, lower = spec.level(h, *xvwtq)

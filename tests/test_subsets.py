@@ -9,8 +9,8 @@ from motzkinperm.subsets import (
     SubsetId,
     avoids_321,
     has_increasing_excedance_values,
-    has_no_nested_fixed_point,
     has_no_double_excedance_or_deficiency,
+    has_no_nested_fixed_point,
     has_noncrossing_cycles,
     has_unimodal_cycles,
     is_involution,
