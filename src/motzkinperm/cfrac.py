@@ -14,9 +14,15 @@ above height 0 (plus the single length-1 level path), and expand as
 
     level(0) z + down(1) z^2 / (1 - level(1) z - down(2) z^2 / ...)
 
-Evaluation is bottom-up at finite depth; a tail level deeper than half the
-truncation order cannot influence the kept coefficients, so the result is
-exact.
+Both are evaluated as that path sum (Flajolet 1980), one step at a time: the
+weight f[n][h] of the length-n prefixes ending at height h obeys
+
+    f[n+1][h] = f[n][h-1] + ell(h) f[n][h] + dee(h+1) f[n][h+1]
+
+with heights capped at min(n, order - n).  Only ``+`` and ``*`` are used, with
+0 and 1 taken from the weights' own type, so int, Fraction and MultiPoly
+weights give int, Fraction and MultiPoly coefficients.  No weight above
+height order // 2 is read.
 """
 
 from __future__ import annotations
@@ -25,66 +31,54 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .polys import MultiPoly
-from .series import Series
 
 
-def default_depth(order: int) -> int:
-    """Deepest level that can affect coefficients up to z**order."""
-    return (order + 1) // 2
-
-
-def _level_tail(
-    dee: Callable[[int], object],
-    ell: Callable[[int], object],
-    order: int,
-    ring: str,
-    lo: int,
-    hi: int,
-) -> Series:
-    """The tail fraction anchored at level lo, using levels lo..hi."""
-    one = Series.one(ring, order)
-    tail: Series | None = None
-    for m in range(hi, lo - 1, -1):
-        denom = one - one.scale(ell(m)).shift(1)
-        if tail is not None:
-            denom = denom - tail.scale(dee(m + 1)).shift(2)
-        tail = denom.recip()
-    assert tail is not None
-    return tail
+def _path_sums(
+    dee: Callable[[int], object], ell: Callable[[int], object], order: int, base: int
+) -> list:
+    """Weights of the paths of length 0..order from height base back to it, never below."""
+    top = order // 2
+    levels = [ell(base + h) for h in range(top + 1)]
+    falls = [dee(base + h) for h in range(1, top + 1)]
+    zero = levels[0] * 0
+    f = [zero + 1]
+    sums = [f[0]]
+    for n in range(order):
+        cap = min(n + 1, order - n - 1)
+        g = [zero] * (cap + 1)
+        for h, c in enumerate(f):
+            if h <= cap:
+                g[h] += levels[h] * c
+            if h < cap:
+                g[h + 1] += c
+            if h:
+                g[h - 1] += falls[h - 1] * c
+        f = g
+        sums.append(f[0])
+    return sums
 
 
 def jfraction_series(
-    dee: Callable[[int], object],
-    ell: Callable[[int], object],
-    order: int,
-    ring: str = "poly",
-    depth: int | None = None,
-) -> Series:
-    """Grounded-path census series from level weights ell and fall weights dee."""
+    dee: Callable[[int], object], ell: Callable[[int], object], order: int
+) -> tuple:
+    """Grounded-path census c_0..c_order from level weights ell and fall weights dee."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if depth is None:
-        depth = default_depth(order)
-    return _level_tail(dee, ell, order, ring, 0, depth)
+    return tuple(_path_sums(dee, ell, order, 0))
 
 
 def kfraction_series(
-    dee: Callable[[int], object],
-    ell: Callable[[int], object],
-    order: int,
-    ring: str = "poly",
-    depth: int | None = None,
-) -> Series:
-    """Elevated-path census series (interior strictly above the axis)."""
+    dee: Callable[[int], object], ell: Callable[[int], object], order: int
+) -> tuple:
+    """Elevated-path census c_0..c_order (interior strictly above the axis)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if depth is None:
-        depth = default_depth(order)
-    out = Series.one(ring, order).scale(ell(0)).shift(1)
-    if depth >= 1:
-        tail = _level_tail(dee, ell, order, ring, 1, depth)
-        out = out + tail.scale(dee(1)).shift(2)
-    return out
+    lead = ell(0)
+    sums = [lead * 0, lead][: order + 1]
+    if order >= 2:
+        fall = dee(1)
+        sums += [c * fall for c in _path_sums(dee, ell, order - 2, 1)]
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -102,11 +96,11 @@ class WeightScheme:
     def level(self, h: int) -> MultiPoly:
         return self.level_fixed(h) + self.level_upper(h) + self.level_lower(h)
 
-    def series(self, order: int, depth: int | None = None) -> Series:
-        """Census polynomials c_0..c_order as a poly-ring series."""
+    def series(self, order: int) -> tuple[MultiPoly, ...]:
+        """Census polynomials c_0..c_order."""
         fn = kfraction_series if self.elevated else jfraction_series
-        return fn(self.down, self.level, order, "poly", depth)
+        return fn(self.down, self.level, order)
 
     def counts(self, order: int) -> list[int]:
         """Plain cardinalities: every marker evaluated at 1."""
-        return [c.value_at_ones() for c in self.series(order).coeffs]
+        return [c.value_at_ones() for c in self.series(order)]

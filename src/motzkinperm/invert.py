@@ -66,7 +66,7 @@ def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
         if len(cur) < 3:
             break
         order = len(cur) - 1
-        inv = Series("rational", tuple(cur)).recip()
+        inv = Series(tuple(cur)).recip()
         rem = [Fraction(0)] * (order + 1)
         for i in range(order + 1):
             rem[i] = -inv[i]
@@ -118,7 +118,4 @@ def regenerate(recovery: WeightRecovery, order: int | None = None) -> list[Fract
             f"only coefficients 0..{recovery.n_input - 1} are determined; "
             f"requested order {order}"
         )
-    series = jfraction_series(
-        recovery.fall_weight, recovery.level_weight, order, ring="rational"
-    )
-    return list(series.coeffs)
+    return list(jfraction_series(recovery.fall_weight, recovery.level_weight, order))

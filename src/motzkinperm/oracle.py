@@ -46,19 +46,24 @@ def _masked(exps: tuple[int, ...], mask: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(e * m for e, m in zip(exps, mask))
 
 
-def _chunk_distribution(args: tuple) -> dict[tuple[int, ...], int]:
-    n, first, subset_name, marks = args
-    subset = SubsetId.from_name(subset_name)
-    mask = _mask(marks)
-    rest = [v for v in range(1, n + 1) if v != first]
+def _member_stats(
+    perms: Iterable[tuple[int, ...]], subset: SubsetId, mask: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """Masked statistic exponents of the class members among perms, with counts."""
     acc: dict[tuple[int, ...], int] = {}
-    for tail in permutations(rest):
-        values = (first,) + tail
+    for values in perms:
         if not is_member(values, subset):
             continue
         key = _masked(_kernels.stat_tuple(values), mask)
         acc[key] = acc.get(key, 0) + 1
     return acc
+
+
+def _chunk_distribution(args: tuple) -> dict[tuple[int, ...], int]:
+    """One worker's share: the members of size n whose first entry is first."""
+    n, first, subset, mask = args
+    rest = [v for v in range(1, n + 1) if v != first]
+    return _member_stats(((first,) + tail for tail in permutations(rest)), subset, mask)
 
 
 def worker_count(workers: int | None) -> int:
@@ -95,17 +100,13 @@ def distribution(
             key = _masked(exps, mask)
             acc[key] = acc.get(key, 0) + count
     elif nworkers > 1 and n >= 2:
-        jobs = [(n, first, subset.value, tuple(marks)) for first in range(1, n + 1)]
+        jobs = [(n, first, subset, mask) for first in range(1, n + 1)]
         with Pool(min(nworkers, n)) as pool:
             for part in pool.map(_chunk_distribution, jobs):
                 for key, count in part.items():
                     acc[key] = acc.get(key, 0) + count
     else:
-        for values in permutations(range(1, n + 1)):
-            if not is_member(values, subset):
-                continue
-            key = _masked(_kernels.stat_tuple(values), mask)
-            acc[key] = acc.get(key, 0) + 1
+        acc = _member_stats(permutations(range(1, n + 1)), subset, mask)
     return MultiPoly(acc)
 
 

@@ -147,9 +147,6 @@ class MultiPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, exps: Iterable[int]) -> int:
         return self.coeffs.get(tuple(exps), 0)
 

@@ -1,60 +1,29 @@
-"""Truncated power series over the marker polynomials or over Fraction.
+"""Truncated power series with exact rational coefficients.
 
-Everything here is exact.  A :class:`Series` is a fixed-length coefficient
-list in z together with a ring tag; two series must share ring and truncation
-order to combine.  Supported rings:
-
-* ``"poly"``      coefficients are :class:`~motzkinperm.polys.MultiPoly`
-* ``"rational"``  coefficients are :class:`fractions.Fraction`
-
-Reciprocals, square roots and exponentials follow the usual coefficient
-recurrences; the ones needing division are restricted to the rational ring.
+A :class:`Series` is a fixed-length tuple of coefficients in z, each a
+:class:`fractions.Fraction` (or an int); two series must share their
+truncation order to combine.  Weight inversion peels continued-fraction
+levels with reciprocals, and the closed-form generating functions use square
+roots and exponentials; each follows the usual coefficient recurrence.  The
+continued fractions themselves are summed in :mod:`motzkinperm.cfrac`, which
+needs no series arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-from .polys import MultiPoly
-
-RING_ZERO: dict[str, Callable[[], object]] = {
-    "poly": MultiPoly.zero,
-    "rational": lambda: Fraction(0),
-}
-RING_ONE: dict[str, Callable[[], object]] = {
-    "poly": MultiPoly.one,
-    "rational": lambda: Fraction(1),
-}
 
 
 @dataclass(frozen=True)
 class Series:
     """Coefficients c[0..order] of a series truncated past z**order."""
 
-    ring: str
     coeffs: tuple
 
     def __post_init__(self) -> None:
-        if self.ring not in RING_ZERO:
-            raise ValueError(f"unknown ring {self.ring!r}")
         if not self.coeffs:
             raise ValueError("series needs at least the constant term")
-
-    @classmethod
-    def from_list(cls, ring: str, values: Sequence) -> "Series":
-        return cls(ring, tuple(values))
-
-    @classmethod
-    def zero(cls, ring: str, order: int) -> "Series":
-        z = RING_ZERO[ring]
-        return cls(ring, tuple(z() for _ in range(order + 1)))
-
-    @classmethod
-    def one(cls, ring: str, order: int) -> "Series":
-        z, o = RING_ZERO[ring], RING_ONE[ring]
-        return cls(ring, (o(),) + tuple(z() for _ in range(order)))
 
     @property
     def order(self) -> int:
@@ -64,70 +33,50 @@ class Series:
         return self.coeffs[n]
 
     def _check(self, other: "Series") -> None:
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError("truncation order mismatch")
 
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
-        return Series(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
         self._check(other)
-        return Series(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "Series") -> "Series":
         self._check(other)
         n = len(self.coeffs)
-        zero = RING_ZERO[self.ring]
-        out = [zero() for _ in range(n)]
+        out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if a == 0:
                 continue
             for j in range(n - i):
                 b = other.coeffs[j]
-                if not _is_zero(b):
-                    out[i + j] = out[i + j] + a * b
-        return Series(self.ring, tuple(out))
+                if b != 0:
+                    out[i + j] += a * b
+        return Series(tuple(out))
 
     def scale(self, factor) -> "Series":
-        return Series(self.ring, tuple(c * factor for c in self.coeffs))
-
-    def shift(self, k: int) -> "Series":
-        """Multiply by z**k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError("negative shift")
-        zero = RING_ZERO[self.ring]
-        n = len(self.coeffs)
-        out = tuple(zero() for _ in range(min(k, n))) + self.coeffs[: max(n - k, 0)]
-        return Series(self.ring, out)
+        return Series(tuple(c * factor for c in self.coeffs))
 
     def recip(self) -> "Series":
-        """1 / self.  Needs constant term 1 in the poly ring."""
-        one = RING_ONE[self.ring]()
+        """1 / self.  Needs a nonzero constant term."""
         c0 = self.coeffs[0]
-        if self.ring == "poly":
-            if c0 != one:
-                raise ValueError("poly-ring reciprocal needs constant term 1")
-            inv0 = one
-        else:
-            if c0 == 0:
-                raise ZeroDivisionError("reciprocal of a series with zero constant term")
-            inv0 = Fraction(1) / c0
+        if c0 == 0:
+            raise ZeroDivisionError("reciprocal of a series with zero constant term")
+        inv0 = Fraction(1) / c0
         n = len(self.coeffs)
-        out = [inv0] + [RING_ZERO[self.ring]() for _ in range(n - 1)]
+        out = [inv0] + [Fraction(0)] * (n - 1)
         for m in range(1, n):
-            acc = RING_ZERO[self.ring]()
+            acc = Fraction(0)
             for k in range(1, m + 1):
-                acc = acc + self.coeffs[k] * out[m - k]
+                acc += self.coeffs[k] * out[m - k]
             out[m] = -(inv0 * acc)
-        return Series(self.ring, tuple(out))
+        return Series(tuple(out))
 
     def sqrt(self) -> "Series":
-        """Square root with constant term 1 (rational ring)."""
-        if self.ring != "rational":
-            raise ValueError("sqrt is implemented over the rational ring")
+        """Square root with constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt needs constant term 1")
         n = len(self.coeffs)
@@ -135,15 +84,13 @@ class Series:
         for m in range(1, n):
             acc = sum((out[k] * out[m - k] for k in range(1, m)), Fraction(0))
             out[m] = (self.coeffs[m] - acc) / 2
-        return Series(self.ring, tuple(out))
+        return Series(tuple(out))
 
     def exp(self) -> "Series":
-        """exp of a series with zero constant term (rational ring).
+        """exp of a series with zero constant term.
 
         Uses b' = a' b coefficientwise: (m+1) b_{m+1} = sum (k+1) a_{k+1} b_{m-k}.
         """
-        if self.ring != "rational":
-            raise ValueError("exp is implemented over the rational ring")
         if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
         n = len(self.coeffs)
@@ -153,7 +100,7 @@ class Series:
             for k in range(m + 1):
                 acc += (k + 1) * self.coeffs[k + 1] * out[m - k]
             out[m + 1] = acc / (m + 1)
-        return Series(self.ring, tuple(out))
+        return Series(tuple(out))
 
     def egf_to_ogf(self) -> "Series":
         """Reinterpret exponential coefficients as plain counts (times n!)."""
@@ -163,27 +110,13 @@ class Series:
             if nn:
                 f *= nn
             out.append(c * f)
-        return Series(self.ring, tuple(out))
+        return Series(tuple(out))
 
     def integer_coefficients(self) -> list[int]:
         """The coefficients as ints; raises if any is not an integer."""
         out = []
         for i, c in enumerate(self.coeffs):
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError(f"coefficient of z^{i} is not an integer: {c}")
-                out.append(int(c))
-            elif isinstance(c, MultiPoly):
-                used = c.variables_used()
-                if used:
-                    raise ValueError(f"coefficient of z^{i} still involves {sorted(used)}")
-                out.append(c.value_at_ones())
-            else:
-                out.append(int(c))
+            if c.denominator != 1:
+                raise ValueError(f"coefficient of z^{i} is not an integer: {c}")
+            out.append(int(c))
         return out
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, MultiPoly):
-        return c.is_zero()
-    return c == 0
