@@ -5,7 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motzkinperm.cfrac import jfraction_series
 from motzkinperm.invert import (
     RecoveryStatus,
     classify_weights,
@@ -126,3 +129,104 @@ def test_weight_accessors_zero_pad():
     assert rec.fall_weight(1) == 1
     assert rec.fall_weight(99) == 0
     assert rec.fall_weight(0) == 0
+
+
+def _peel_by_reciprocals(terms):
+    """Reference: peel each level with a full series reciprocal, O(n^3)."""
+    cur = [Fraction(t) for t in terms]
+    if not cur or cur[0] != 1:
+        raise ValueError("need a constant term of 1")
+    ell, dee, status = [], [], RecoveryStatus.COMPLETE
+    while len(cur) >= 2:
+        ell.append(cur[1])
+        if len(cur) < 3:
+            break
+        inv = [Fraction(1)]
+        for m in range(1, len(cur)):
+            inv.append(-sum(cur[k] * inv[m - k] for k in range(1, m + 1)))
+        # 1 - ell z - 1/cur = d z^2 (next level's series)
+        rem = [-c for c in inv]
+        rem[0] += 1
+        rem[1] -= ell[-1]
+        assert rem[0] == 0 and rem[1] == 0
+        d = rem[2]
+        if d == 0:
+            failed = any(c != 0 for c in rem[2:])
+            status = RecoveryStatus.FAILED if failed else RecoveryStatus.TERMINATED
+            break
+        dee.append(d)
+        cur = [c / d for c in rem[2:]]
+    return tuple(ell), tuple(dee), status, len(terms)
+
+
+def _finite_fraction_prefix(ell, dee, length):
+    """Prefix of a J-fraction cut off after len(ell) levels: it terminates."""
+    return list(jfraction_series(
+        lambda h: dee[h - 1] if h <= len(dee) else 0,
+        lambda h: ell[h] if h < len(ell) else 0,
+        length - 1,
+    ))
+
+
+small_terms = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def prefixes(draw):
+    """Random prefixes that reach all three stop states, or raise."""
+    kind = draw(st.sampled_from(["random", "finite", "bumped", "bad head"]))
+    length = draw(st.integers(1, 12))
+    if kind in ("random", "bad head"):
+        tail = draw(st.lists(small_terms, min_size=length - 1, max_size=length - 1))
+        head = draw(small_terms) if kind == "bad head" else 1
+        return [head] + tail
+    ell = draw(st.lists(small_terms, min_size=1, max_size=4))
+    dee = draw(st.lists(small_terms.filter(bool), min_size=len(ell) - 1, max_size=len(ell) - 1))
+    terms = _finite_fraction_prefix(ell, dee, length)
+    if kind == "bumped" and length > 1:
+        # the fraction stops after len(ell) levels; disturbing a term past
+        # 2 * len(ell) leaves a zero fall weight with a nonzero remainder
+        at = draw(st.integers(1, length - 1))
+        terms[at] += draw(small_terms.filter(bool))
+    return terms
+
+
+@settings(deadline=None, max_examples=400)
+@given(prefixes())
+def test_recurrence_matches_the_reciprocal_peel(terms):
+    try:
+        want = _peel_by_reciprocals(terms)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            invert_jfraction(terms)
+        return
+    rec = invert_jfraction(terms)
+    assert (rec.ell, rec.dee, rec.status, rec.n_input) == want
+    assert all(type(w) is Fraction for w in rec.ell + rec.dee)
+
+
+def test_the_reference_peel_reaches_every_stop_state():
+    cases = {
+        RecoveryStatus.COMPLETE: catalan_numbers(9),
+        RecoveryStatus.TERMINATED: _finite_fraction_prefix([1, 2], [3], 9),
+        RecoveryStatus.FAILED: _finite_fraction_prefix([1, 2], [3], 8) + [1],
+    }
+    for status, terms in cases.items():
+        assert _peel_by_reciprocals(terms)[2] is status
+        assert invert_jfraction(terms).status is status
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 80),
+    st.lists(st.integers(-5, 9), min_size=40, max_size=40),
+    st.lists(st.integers(1, 9) | st.fractions(1, 5, max_denominator=3), min_size=40, max_size=40),
+)
+def test_weights_round_trip_through_the_series(length, ell, dee):
+    ell = [Fraction(l) for l in ell]
+    terms = list(jfraction_series(lambda h: dee[h - 1], lambda h: ell[h], length - 1))
+    rec = invert_jfraction(terms)
+    assert rec.status is RecoveryStatus.COMPLETE
+    assert rec.ell == tuple(ell[: length // 2])
+    assert rec.dee == tuple(dee[: (length - 1) // 2])
+    assert regenerate(rec) == terms
