@@ -1,16 +1,27 @@
 """Recovering continued-fraction weights from a sequence prefix.
 
-Given counts c_0..c_n with c_0 = 1, peel one level per round: the level
-weight is the linear coefficient of the current series, and subtracting the
-level term and reciprocal leaves d * z^2 times the next level's series.
-From n+1 terms this pins floor((n+1)/2) level weights and floor(n/2) fall
-weights.  Peeling stops three ways:
+Given counts c_0..c_n with c_0 = 1, the weights come out of the table of
+mixed moments sigma[k][l] (the Chebyshev or Stieltjes table; Gautschi 1982).
+Row 0 is the input, and each row follows from the two above it:
+
+    sigma[k+1][l] = sigma[k][l+1] - ell_k sigma[k][l] - d_k sigma[k-1][l]
+
+    ell_k   = sigma[k][k+1] / sigma[k][k] - sigma[k-1][k] / sigma[k-1][k-1]
+    d_{k+1} = sigma[k+1][k+1] / sigma[k][k]
+
+Row k+1 vanishes left of its diagonal; sigma[k][l] is d_1 .. d_k times the
+weight of the paths of length l that end at height k.  This is the path sum
+of :mod:`motzkinperm.cfrac` run backwards: O(n^2) rational operations and no
+series reciprocal.  Row k has n - k + 1 entries, so from n+1 terms the table
+pins floor((n+1)/2) level weights and floor(n/2) fall weights.  It stops
+three ways:
 
 * ``COMPLETE``    the prefix ran out; deeper weights need more terms
-* ``TERMINATED``  a fall weight is 0 and the remainder vanishes, so the
-                  fraction is finite and the recovered weights are exact
-* ``FAILED``      a fall weight is 0 but the remainder does not vanish; no
-                  weight assignment reproduces the input
+* ``TERMINATED``  a fall weight d_{k+1} is 0 and the rest of row k+1 is 0
+                  too, so the fraction is finite and the weights are exact
+* ``FAILED``      a fall weight d_{k+1} is 0 but row k+1 has a nonzero entry
+                  right of its diagonal; no weight assignment reproduces the
+                  input
 
 The weights say something about what the sequence could count:
 nonnegative integers leave room for a colored-path census, while negative or
@@ -25,7 +36,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cfrac import jfraction_series
-from .series import Series
 
 
 class RecoveryStatus(enum.Enum):
@@ -58,31 +68,30 @@ def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
     if cur[0] != 1:
         raise ValueError(f"the constant term must be 1, got {cur[0]}")
 
+    n = len(cur) - 1
     ell: list[Fraction] = []
     dee: list[Fraction] = []
     status = RecoveryStatus.COMPLETE
-    while len(cur) >= 2:
-        ell.append(cur[1])
-        if len(cur) < 3:
+    # rows k-1 and k of the moment table; row -1 is zero and d_0 is unused
+    above, row = [Fraction(0)] * n, cur
+    fall = lead = Fraction(0)
+    for k in range((n + 1) // 2):
+        ratio = row[k + 1] / row[k]
+        ell.append(ratio - lead)
+        if 2 * k + 2 > n:
             break
-        order = len(cur) - 1
-        inv = Series(tuple(cur)).recip()
-        rem = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            rem[i] = -inv[i]
-        rem[0] += 1
-        rem[1] -= ell[-1]
-        if rem[0] != 0 or rem[1] != 0:
+        below = [row[l + 1] - ell[-1] * row[l] - fall * above[l] for l in range(n - k)]
+        if any(below[: k + 1]):
             raise AssertionError("peeling lost its leading cancellation")
-        d = rem[2]
-        if d == 0:
-            if any(c != 0 for c in rem[2:]):
+        fall = below[k + 1] / row[k]
+        if fall == 0:
+            if any(below[k + 2 :]):
                 status = RecoveryStatus.FAILED
             else:
                 status = RecoveryStatus.TERMINATED
             break
-        dee.append(d)
-        cur = [c / d for c in rem[2:]]
+        dee.append(fall)
+        above, row, lead = row, below, ratio
     return WeightRecovery(tuple(ell), tuple(dee), status, len(terms))
 
 

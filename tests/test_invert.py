@@ -216,7 +216,7 @@ def test_the_reference_peel_reaches_every_stop_state():
         assert invert_jfraction(terms).status is status
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=40)
 @given(
     st.integers(1, 80),
     st.lists(st.integers(-5, 9), min_size=40, max_size=40),
