@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from . import _kernels
 from .perms import count_consecutive_123
 from .polys import VARS, MultiPoly
-from .subsets import SubsetId, is_member
+from .subsets import CachedCycles, SubsetId, is_member
 
 MAX_BRUTE_N = 9
 
@@ -124,13 +124,13 @@ def sweep_counts(n: int) -> dict[SubsetId, int]:
     """Cardinality of every supported class at size n, in one pass.
 
     Each base predicate runs once per permutation, however many classes
-    require it.
+    require it, and the cycle predicates share one cycle decomposition.
     """
     _check_size(n)
     requires = {subset: subset.spec.requires for subset in SubsetId}
     predicates = set().union(*requires.values())
     counts = {subset: 0 for subset in SubsetId}
-    for values in permutations(range(1, n + 1)):
+    for values in map(CachedCycles, permutations(range(1, n + 1))):
         holds = {p for p in predicates if p(values)}
         for subset, preds in requires.items():
             if holds.issuperset(preds):

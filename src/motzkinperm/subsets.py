@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Callable, Sequence
 
@@ -60,9 +61,25 @@ class SubsetId(enum.Enum):
         return CLASSES[self]
 
 
+class CachedCycles(tuple):
+    """One-line values that build their cycle decomposition at most once.
+
+    The cycle predicates below read it through ``_cycles``, so a sweep that
+    asks several of them about one permutation decomposes it once.
+    """
+
+    @cached_property
+    def cycles(self) -> list[tuple[int, ...]]:
+        return cycle_list(self)
+
+
+def _cycles(values: Sequence[int]) -> list[tuple[int, ...]]:
+    return values.cycles if isinstance(values, CachedCycles) else cycle_list(values)
+
+
 def is_cyclic(values: Sequence[int]) -> bool:
     """Single cycle through every element (the empty permutation is not)."""
-    return len(values) >= 1 and len(cycle_list(values)) == 1
+    return len(values) >= 1 and len(_cycles(values)) == 1
 
 
 def avoids_321(values: Sequence[int]) -> bool:
@@ -111,7 +128,7 @@ def _cycle_unimodal(cycle: Sequence[int]) -> bool:
 
 
 def has_unimodal_cycles(values: Sequence[int]) -> bool:
-    return all(_cycle_unimodal(c) for c in cycle_list(values))
+    return all(_cycle_unimodal(c) for c in _cycles(values))
 
 
 def has_noncrossing_cycles(values: Sequence[int]) -> bool:
@@ -120,7 +137,7 @@ def has_noncrossing_cycles(values: Sequence[int]) -> bool:
     block_of = [0] * (n + 1)
     mins = {}
     maxs = {}
-    for b, cyc in enumerate(cycle_list(values)):
+    for b, cyc in enumerate(_cycles(values)):
         for i in cyc:
             block_of[i] = b
         mins[b] = min(cyc)

@@ -16,6 +16,7 @@ from motzkinperm.oracle import (
     sweep_counts,
     worker_count,
 )
+from motzkinperm import perms, subsets
 from motzkinperm.perms import count_consecutive_123, stats
 from motzkinperm.polys import MultiPoly
 from motzkinperm.subsets import SubsetId, is_member
@@ -95,6 +96,20 @@ def test_sweep_counts_matches_membership_filters():
         for subset in SubsetId:
             direct = sum(1 for p in all_perms(n) if is_member(p, subset))
             assert counts[subset] == direct
+
+
+def test_sweep_decomposes_each_permutation_into_cycles_at_most_once(monkeypatch):
+    want = sweep_counts(5)
+    calls = []
+
+    def counting_cycle_list(values):
+        calls.append(tuple(values))
+        return perms.cycle_list(values)
+
+    monkeypatch.setattr(subsets, "cycle_list", counting_cycle_list)
+    assert sweep_counts(5) == want
+    assert 0 < len(calls) <= math.factorial(5)
+    assert len(set(calls)) == len(calls)
 
 
 def test_members_yields_exactly_the_subset():
