@@ -21,7 +21,6 @@ from .oracle import (
     consecutive_123_distribution,
     distribution,
     members,
-    set_partitions,
     sweep_counts,
 )
 from .paths import enumerate_paths, path_to_perm, perm_to_path
@@ -223,7 +222,7 @@ def _check_bell_pipeline(max_n: int, rng: random.Random) -> CheckResult:
                 failures.append(f"surgery round trip broke on {values}")
             images.add(bell.block_path_to_partition(bpath).to_text())
         expected = {
-            bell.SetPartition.of(p).to_text() for p in set_partitions(n - 1)
+            bell.SetPartition.of(p).to_text() for p in bell.set_partitions(n - 1)
         }
         if images != expected:
             failures.append(f"partition image mismatch at n={n}")

@@ -155,31 +155,3 @@ def consecutive_123_distribution(n: int) -> MultiPoly:
         acc[key] = acc.get(key, 0) + 1
     return MultiPoly(acc)
 
-
-def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All set partitions of {1..n} as sorted tuples of sorted blocks.
-
-    Generated by restricted growth: entry i joins an existing block or opens
-    the next fresh one.
-    """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-
-    blocks: list[list[int]] = []
-
-    def walk(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from walk(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from walk(i + 1)
-        blocks.pop()
-
-    yield from walk(1)

@@ -26,6 +26,7 @@ from motzkinperm.bell import (
     enumerate_block_paths,
     enumerate_cycle_paths,
     lengthen_path,
+    set_partitions,
     shorten_path,
 )
 from motzkinperm.invert import RecoveryStatus, classify_weights, invert_jfraction
@@ -34,7 +35,6 @@ from motzkinperm.oracle import (
     consecutive_123_distribution,
     distribution,
     members,
-    set_partitions,
     sweep_counts,
 )
 from motzkinperm.paths import enumerate_paths, path_to_perm, perm_to_path

@@ -13,12 +13,13 @@ from motzkinperm.bell import (
     enumerate_cycle_paths,
     lengthen_path,
     path_to_cycle,
+    set_partitions,
     shorten_path,
     validate_block_path,
     validate_cycle_path,
     weak_exc_partition,
 )
-from motzkinperm.oracle import members, set_partitions
+from motzkinperm.oracle import members
 from motzkinperm.paths import ColoredMotzkinPath
 from motzkinperm.perms import Permutation
 from motzkinperm.subsets import SubsetId, is_member

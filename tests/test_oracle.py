@@ -12,11 +12,11 @@ from motzkinperm.oracle import (
     distribution,
     distribution_series,
     members,
-    set_partitions,
     sweep_counts,
     worker_count,
 )
 from motzkinperm import perms, subsets
+from motzkinperm.bell import set_partitions
 from motzkinperm.perms import count_consecutive_123, stats
 from motzkinperm.polys import MultiPoly
 from motzkinperm.subsets import SubsetId, is_member

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from motzkinperm.oracle import set_partitions
+from motzkinperm.bell import set_partitions
 from motzkinperm.sequences import (
     baxter_numbers,
     bell_numbers,
