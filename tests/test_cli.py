@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import motzkinperm
+from motzkinperm import cfrac
+from motzkinperm.cfrac import MAX_ORDER
 from motzkinperm.cli import main
 
 
@@ -145,6 +147,25 @@ def test_cf_plain_output(capsys):
     code, out, _ = run(capsys, "cf", "--scheme", "Consecutive123", "--order", "3")
     assert code == 0
     assert "[z^3]" in out
+
+
+def test_cf_order_is_capped_before_any_expansion(capsys, monkeypatch):
+    top = str(MAX_ORDER)
+    assert run(capsys, "cf", "--scheme", "Noncrossing", "--order", top, "--marks", "")[0] == 0
+
+    def expand(*args):
+        raise AssertionError("expanded past the cap")
+
+    monkeypatch.setattr(cfrac, "_path_sums", expand)
+    over = str(MAX_ORDER + 1)
+    for argv in (
+        ("cf", "--scheme", "Noncrossing", "--order", over),
+        ("census", "--subset", "Avoid321", "--n-max", over, "--sources", "cf,closed"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"cap of {MAX_ORDER}" in err
 
 
 def test_invert_plain_and_regenerated(capsys):
