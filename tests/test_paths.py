@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzkinperm.paths import (
     ColoredMotzkinPath,
@@ -148,3 +150,34 @@ def test_statistics_survive_the_encoding():
         path = perm_to_path(values)
         again = path_to_perm(path)
         assert stats(again.values) == stats(values)
+
+
+@st.composite
+def standard_paths(draw, max_len=300):
+    """A random standard colored path: every step fits the color budget."""
+    n = draw(st.integers(0, max_len))
+    pairs, h = [], 0
+    for left in range(n, 0, -1):
+        letters = [c for c, ok in (("U", h + 1 < left), ("L", h < left), ("D", h > 0)) if ok]
+        letter = draw(st.sampled_from(letters))
+        if letter == "U":
+            h += 1
+            pairs.append(("U", 0))
+        elif letter == "L":
+            pairs.append(("L", draw(st.integers(0, standard_level_colors(h) - 1))))
+        else:
+            pairs.append(("D", draw(st.integers(0, standard_down_colors(h) - 1))))
+            h -= 1
+    return ColoredMotzkinPath.from_pairs(pairs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_large_permutations_round_trip_through_their_paths(values):
+    assert path_to_perm(perm_to_path(values)).values == tuple(values)
+
+
+@settings(deadline=None, max_examples=60)
+@given(standard_paths())
+def test_large_paths_round_trip_through_their_permutations(path):
+    assert perm_to_path(path_to_perm(path)) == path
