@@ -132,13 +132,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, failures: list[str]) -> CheckResult:
-    if failures:
-        return CheckResult(name, False, "; ".join(failures[:4]))
-    return CheckResult(name, True)
-
-
-def _check_path_bijection(max_n: int, rng: random.Random) -> CheckResult:
+def _check_path_bijection(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     for n in range(0, min(max_n, 6) + 1):
         seen: set[str] = set()
@@ -155,10 +149,10 @@ def _check_path_bijection(max_n: int, rng: random.Random) -> CheckResult:
             values = random_permutation(n, rng)
             if path_to_perm(perm_to_path(values)).values != values:
                 failures.append(f"round trip broke on {values}")
-    return _result("path-bijection", failures)
+    return failures
 
 
-def _check_full_class_census(max_n: int, rng: random.Random) -> CheckResult:
+def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     cap = min(max_n, 6)
     for marks in ("xvwt", "xvwq"):
@@ -167,10 +161,10 @@ def _check_full_class_census(max_n: int, rng: random.Random) -> CheckResult:
             want = distribution(n, SubsetId.ALL, marks)
             if series[n] != want:
                 failures.append(f"marks {marks} disagree at n={n}")
-    return _result("census-full-class", failures)
+    return failures
 
 
-def _check_subset_censuses(max_n: int, rng: random.Random) -> CheckResult:
+def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     cap = min(max_n, 7)
     schemes = {subset: scheme_for(subset, "") for subset in SubsetId}
@@ -190,10 +184,10 @@ def _check_subset_censuses(max_n: int, rng: random.Random) -> CheckResult:
                     f"{subset.value} closed form says {formula[n]} at n={n}, "
                     f"enumeration says {counted[subset]}"
                 )
-    return _result("census-subsets", failures)
+    return failures
 
 
-def _check_consecutive_123(max_n: int, rng: random.Random) -> CheckResult:
+def _check_consecutive_123(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     cap = min(max_n, 6)
     series = scheme_for("Consecutive123", "w").series(cap)
@@ -205,10 +199,10 @@ def _check_consecutive_123(max_n: int, rng: random.Random) -> CheckResult:
             failures.append(f"run-count distribution disagrees at n={n}")
         if got.substitute(w=0) != avoiders[n]:
             failures.append(f"run-free count disagrees at n={n}")
-    return _result("consecutive-123", failures)
+    return failures
 
 
-def _check_bell_pipeline(max_n: int, rng: random.Random) -> CheckResult:
+def _check_bell_pipeline(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     cap = min(max_n + 1, 7)
     for n in range(1, cap + 1):
@@ -226,19 +220,19 @@ def _check_bell_pipeline(max_n: int, rng: random.Random) -> CheckResult:
         }
         if images != expected:
             failures.append(f"partition image mismatch at n={n}")
-    return _result("bell-pipeline", failures)
+    return failures
 
 
-def _check_area_law(max_n: int, rng: random.Random) -> CheckResult:
+def _check_area_law(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     for n in range(0, min(max_n, 7) + 1):
         for values in members(n, SubsetId.AVOID321):
             if perm_to_path(values).area() != stats(values).inversions:
                 failures.append(f"area law broke on {values}")
-    return _result("area-law", failures)
+    return failures
 
 
-def _check_mobius(max_n: int, rng: random.Random) -> CheckResult:
+def _check_mobius(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     for family in mobius.FAMILIES:
         for n in range(2, min(max_n, 7) + 1):
@@ -248,10 +242,10 @@ def _check_mobius(max_n: int, rng: random.Random) -> CheckResult:
                 failures.append(
                     f"family {family} at n={n}: formula {formula}, count {counted}"
                 )
-    return _result("mobius-formulas", failures)
+    return failures
 
 
-def _check_invert_roundtrip(max_n: int, rng: random.Random) -> CheckResult:
+def _check_invert_roundtrip(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     for trial in range(5):
         ell = [rng.randint(0, 3) for _ in range(7)]
@@ -265,10 +259,10 @@ def _check_invert_roundtrip(max_n: int, rng: random.Random) -> CheckResult:
             failures.append(f"trial {trial}: recovered weights differ")
         if regenerate(rec) != series:
             failures.append(f"trial {trial}: regeneration differs")
-    return _result("invert-roundtrip", failures)
+    return failures
 
 
-def _check_reference_recoveries(max_n: int, rng: random.Random) -> CheckResult:
+def _check_reference_recoveries(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     nice = {
         "genocchi": genocchi_numbers(12),
@@ -282,10 +276,10 @@ def _check_reference_recoveries(max_n: int, rng: random.Random) -> CheckResult:
     baxter = classify_weights(invert_jfraction(baxter_numbers(12)))
     if baxter != "negative-or-fractional":
         failures.append(f"baxter classified {baxter}")
-    return _result("reference-recoveries", failures)
+    return failures
 
 
-def _check_corrupted_scheme(max_n: int, rng: random.Random) -> CheckResult:
+def _check_corrupted_scheme(max_n: int, rng: random.Random) -> list[str]:
     base = scheme_for(SubsetId.ALL, "")
     bumped = WeightScheme(
         name="All(corrupted)",
@@ -296,15 +290,11 @@ def _check_corrupted_scheme(max_n: int, rng: random.Random) -> CheckResult:
     )
     report = census(SubsetId.ALL, 2, sources=("bf", "cf"), scheme=bumped)
     if report.passing:
-        return CheckResult(
-            "corrupted-scheme",
-            False,
-            "a deliberately wrong fall weight went undetected at n=2",
-        )
-    return CheckResult("corrupted-scheme", True)
+        return ["a deliberately wrong fall weight went undetected at n=2"]
+    return []
 
 
-_CHECKS: tuple[tuple[str, Callable[[int, random.Random], CheckResult]], ...] = (
+_CHECKS: tuple[tuple[str, Callable[[int, random.Random], list[str]]], ...] = (
     ("path-bijection", _check_path_bijection),
     ("census-full-class", _check_full_class_census),
     ("census-subsets", _check_subset_censuses),
@@ -324,9 +314,9 @@ def check_all(max_n: int = 6, seed: int = 0) -> list[CheckResult]:
         raise ValueError("max_n must be nonnegative")
     results = []
     for name, fn in _CHECKS:
-        rng = random.Random(seed)
         try:
-            results.append(fn(max_n, rng))
+            failures = fn(max_n, random.Random(seed))
         except Exception as exc:  # a crashed check must not hide the rest
-            results.append(CheckResult(name, False, f"crashed: {exc}"))
+            failures = [f"crashed: {exc}"]
+        results.append(CheckResult(name, not failures, "; ".join(failures[:4])))
     return results

@@ -32,10 +32,9 @@ from typing import Callable
 
 from .polys import MultiPoly
 
-# Highest order WeightScheme.series expands.  The cost climbs steeply with the
-# order: the heaviest default scheme (IncreasingExcAndDef, markers xvwq) takes
-# 5 s of CPU at order 20, 19 s at 24 and 58 s at 28 (Python 3.11, one core of
-# an x86-64 machine).  24 keeps every scheme near 20 s or under.
+# Highest order WeightScheme.series expands.  The heaviest default scheme
+# (IncreasingExcAndDef, xvwq) takes 5 s of CPU at order 20, 19 s at 24 and
+# 58 s at 28 (Python 3.11, one x86-64 core); 24 keeps every scheme near 20 s.
 MAX_ORDER = 24
 
 
@@ -105,10 +104,7 @@ class WeightScheme:
     def series(self, order: int) -> tuple[MultiPoly, ...]:
         """Census polynomials c_0..c_order, for order up to MAX_ORDER."""
         if order > MAX_ORDER:
-            raise ValueError(
-                f"order {order} is over the cap of {MAX_ORDER}: the expansion's "
-                "cost grows steeply with the order"
-            )
+            raise ValueError(f"order {order} is over the cap of {MAX_ORDER}; cost grows steeply")
         fn = kfraction_series if self.elevated else jfraction_series
         return fn(self.down, self.level, order)
 

@@ -1,27 +1,24 @@
 """Recovering continued-fraction weights from a sequence prefix.
 
-Given counts c_0..c_n with c_0 = 1, the weights come out of the table of
-mixed moments sigma[k][l] (the Chebyshev or Stieltjes table; Gautschi 1982).
-Row 0 is the input, and each row follows from the two above it:
+The counts c_0..c_n (c_0 = 1) fill row 0 of the mixed-moment table sigma
+(the Stieltjes table; Gautschi 1982).  Row -1 is zero, and each level k
+yields its weights and the next row:
 
+    ell_k         = sigma[k][k+1] / sigma[k][k] - sigma[k-1][k] / sigma[k-1][k-1]
     sigma[k+1][l] = sigma[k][l+1] - ell_k sigma[k][l] - d_k sigma[k-1][l]
+    d_{k+1}       = sigma[k+1][k+1] / sigma[k][k]
 
-    ell_k   = sigma[k][k+1] / sigma[k][k] - sigma[k-1][k] / sigma[k-1][k-1]
-    d_{k+1} = sigma[k+1][k+1] / sigma[k][k]
-
-Row k+1 vanishes left of its diagonal; sigma[k][l] is d_1 .. d_k times the
-weight of the paths of length l that end at height k.  This is the path sum
-of :mod:`motzkinperm.cfrac` run backwards: O(n^2) rational operations and no
-series reciprocal.  Row k has n - k + 1 entries, so from n+1 terms the table
-pins floor((n+1)/2) level weights and floor(n/2) fall weights.  It stops
-three ways:
+sigma[k][l] is d_1..d_k times the weight of the length-l paths from height 0
+to height k, so row k vanishes left of its diagonal.  This is the path sum of
+:mod:`motzkinperm.cfrac` run backwards: O(n^2) exact operations and no series
+reciprocal.  Row k has n - k + 1 entries, so n+1 terms pin floor((n+1)/2)
+level weights and floor(n/2) fall weights.  The table stops three ways:
 
 * ``COMPLETE``    the prefix ran out; deeper weights need more terms
-* ``TERMINATED``  a fall weight d_{k+1} is 0 and the rest of row k+1 is 0
-                  too, so the fraction is finite and the weights are exact
-* ``FAILED``      a fall weight d_{k+1} is 0 but row k+1 has a nonzero entry
-                  right of its diagonal; no weight assignment reproduces the
-                  input
+* ``TERMINATED``  d_{k+1} is 0 and so is the rest of row k+1: the fraction
+                  is finite and the recovered weights are exact
+* ``FAILED``      d_{k+1} is 0 but the rest of row k+1 is not; no weight
+                  assignment reproduces the input
 
 The weights say something about what the sequence could count:
 nonnegative integers leave room for a colored-path census, while negative or
@@ -85,10 +82,7 @@ def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
             raise AssertionError("peeling lost its leading cancellation")
         fall = below[k + 1] / row[k]
         if fall == 0:
-            if any(below[k + 2 :]):
-                status = RecoveryStatus.FAILED
-            else:
-                status = RecoveryStatus.TERMINATED
+            status = RecoveryStatus.FAILED if any(below[k + 2 :]) else RecoveryStatus.TERMINATED
             break
         dee.append(fall)
         above, row, lead = row, below, ratio

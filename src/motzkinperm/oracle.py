@@ -154,4 +154,3 @@ def consecutive_123_distribution(n: int) -> MultiPoly:
         key = (0, 0, count_consecutive_123(values), 0, 0)
         acc[key] = acc.get(key, 0) + 1
     return MultiPoly(acc)
-

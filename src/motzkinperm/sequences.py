@@ -184,16 +184,10 @@ def consecutive_123_avoider_counts(n_max: int) -> list[int]:
 # -- closed-form generating functions (exact, over Fraction) ---------------
 
 
-def _z(order: int) -> Series:
-    coeffs = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        coeffs[1] = Fraction(1)
-    return Series(tuple(coeffs))
-
-
-def _const(order: int, c: Fraction | int) -> Series:
-    coeffs = [Fraction(c)] + [Fraction(0)] * order
-    return Series(tuple(coeffs))
+def _poly(order: int, *low: int) -> Series:
+    """low[0] + low[1] z + ..., truncated past z**order."""
+    coeffs = [Fraction(c) for c in low[: order + 1]]
+    return Series(tuple(coeffs + [Fraction(0)] * (order + 1 - len(coeffs))))
 
 
 def egf_no_double_step_counts(n_max: int) -> list[int]:
@@ -201,46 +195,36 @@ def egf_no_double_step_counts(n_max: int) -> list[int]:
     cos = [Fraction(0)] * (n_max + 1)
     for k in range(0, n_max + 1, 2):
         cos[k] = Fraction((-1) ** (k // 2), factorial(k))
-    egf = _z(n_max).exp() * Series(tuple(cos)).recip()
+    egf = _poly(n_max, 0, 1).exp() * Series(tuple(cos)).recip()
     return egf.egf_to_ogf().integer_coefficients()
 
 
 def egf_involution_counts(n_max: int) -> list[int]:
     """Coefficients of exp(z + z^2/2), as plain counts."""
-    z = _z(n_max)
+    z = _poly(n_max, 0, 1)
     half_sq = (z * z).scale(Fraction(1, 2))
     return (z + half_sq).exp().egf_to_ogf().integer_coefficients()
 
 
 def egf_unimodal_cycle_counts(n_max: int) -> list[int]:
     """Coefficients of exp((exp(2z) + 2z - 1)/4), as plain counts."""
-    z = _z(n_max)
+    z = _poly(n_max, 0, 1)
     e2z = z.scale(2).exp()
-    inner = (e2z + z.scale(2) - _const(n_max, 1)).scale(Fraction(1, 4))
+    inner = (e2z + z.scale(2) - _poly(n_max, 1)).scale(Fraction(1, 4))
     return inner.exp().egf_to_ogf().integer_coefficients()
 
 
 def ogf_increasing_exc_def_counts(n_max: int) -> list[int]:
     """Coefficients of 2 / (1 + z + sqrt(1 - 6z + 5z^2))."""
-    coeffs = [Fraction(0)] * (n_max + 1)
-    coeffs[0] = Fraction(1)
-    if n_max >= 1:
-        coeffs[1] = Fraction(-6)
-    if n_max >= 2:
-        coeffs[2] = Fraction(5)
-    root = Series(tuple(coeffs)).sqrt()
-    denom = _const(n_max, 1) + _z(n_max) + root
+    root = _poly(n_max, 1, -6, 5).sqrt()
+    denom = _poly(n_max, 1, 1) + root
     return denom.recip().scale(2).integer_coefficients()
 
 
 def ogf_catalan_counts(n_max: int) -> list[int]:
     """Coefficients of 2 / (1 + sqrt(1 - 4z)); equals the Catalan numbers."""
-    coeffs = [Fraction(0)] * (n_max + 1)
-    coeffs[0] = Fraction(1)
-    if n_max >= 1:
-        coeffs[1] = Fraction(-4)
-    root = Series(tuple(coeffs)).sqrt()
-    return (_const(n_max, 1) + root).recip().scale(2).integer_coefficients()
+    root = _poly(n_max, 1, -4).sqrt()
+    return (_poly(n_max, 1) + root).recip().scale(2).integer_coefficients()
 
 
 def closed_form_counts(subset: SubsetId, n_max: int) -> list[int] | None:

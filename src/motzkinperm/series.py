@@ -2,11 +2,11 @@
 
 A :class:`Series` is a fixed-length tuple of coefficients in z, each a
 :class:`fractions.Fraction` (or an int); two series must share their
-truncation order to combine.  Weight inversion peels continued-fraction
-levels with reciprocals, and the closed-form generating functions use square
-roots and exponentials; each follows the usual coefficient recurrence.  The
-continued fractions themselves are summed in :mod:`motzkinperm.cfrac`, which
-needs no series arithmetic.
+truncation order to combine.  The closed-form generating functions use
+reciprocals, square roots and exponentials; each follows the usual
+coefficient recurrence.  The continued fractions are summed in
+:mod:`motzkinperm.cfrac` and inverted in :mod:`motzkinperm.invert`, neither
+of which needs series arithmetic.
 """
 
 from __future__ import annotations

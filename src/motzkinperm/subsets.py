@@ -62,11 +62,7 @@ class SubsetId(enum.Enum):
 
 
 class CachedCycles(tuple):
-    """One-line values that build their cycle decomposition at most once.
-
-    The cycle predicates below read it through ``_cycles``, so a sweep that
-    asks several of them about one permutation decomposes it once.
-    """
+    """One-line values whose cycles the cycle predicates below compute once."""
 
     @cached_property
     def cycles(self) -> list[tuple[int, ...]]:

@@ -191,7 +191,7 @@ def prefixes(draw):
     return terms
 
 
-@settings(deadline=None, max_examples=400)
+@settings(deadline=None, max_examples=200)
 @given(prefixes())
 def test_recurrence_matches_the_reciprocal_peel(terms):
     try:
