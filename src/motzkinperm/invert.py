@@ -10,9 +10,9 @@ yields its weights and the next row:
 
 sigma[k][l] is d_1..d_k times the weight of the length-l paths from height 0
 to height k, so row k vanishes left of its diagonal.  This is the path sum of
-:mod:`motzkinperm.cfrac` run backwards: O(n^2) exact operations and no series
-reciprocal.  Row k has n - k + 1 entries, so n+1 terms pin floor((n+1)/2)
-level weights and floor(n/2) fall weights.  The table stops three ways:
+:mod:`motzkinperm.cfrac` run backwards, in O(n^2) exact operations.  Row k
+has n - k + 1 entries, so n+1 terms pin floor((n+1)/2) level weights and
+floor(n/2) fall weights.  The table stops three ways:
 
 * ``COMPLETE``    the prefix ran out; deeper weights need more terms
 * ``TERMINATED``  d_{k+1} is 0 and so is the rest of row k+1: the fraction

@@ -185,7 +185,8 @@ def prefixes(draw):
     terms = _finite_fraction_prefix(ell, dee, length)
     if kind == "bumped" and length > 1:
         # the fraction stops after len(ell) levels; disturbing a term past
-        # 2 * len(ell) leaves a zero fall weight with a nonzero remainder
+        # 2 * len(ell) leaves a zero fall weight with a nonzero remainder,
+        # an earlier one just makes another prefix
         at = draw(st.integers(1, length - 1))
         terms[at] += draw(small_terms.filter(bool))
     return terms

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from motzkinperm import perms, subsets
 from motzkinperm.oracle import (
     MAX_BRUTE_N,
     consecutive_123_distribution,
@@ -15,7 +16,6 @@ from motzkinperm.oracle import (
     sweep_counts,
     worker_count,
 )
-from motzkinperm import perms, subsets
 from motzkinperm.bell import set_partitions
 from motzkinperm.perms import count_consecutive_123, stats
 from motzkinperm.polys import MultiPoly
