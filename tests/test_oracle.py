@@ -7,6 +7,7 @@ import math
 import pytest
 
 from motzkinperm import perms, subsets
+from motzkinperm.bell import set_partitions
 from motzkinperm.oracle import (
     MAX_BRUTE_N,
     consecutive_123_distribution,
@@ -16,7 +17,6 @@ from motzkinperm.oracle import (
     sweep_counts,
     worker_count,
 )
-from motzkinperm.bell import set_partitions
 from motzkinperm.perms import count_consecutive_123, stats
 from motzkinperm.polys import MultiPoly
 from motzkinperm.subsets import SubsetId, is_member
