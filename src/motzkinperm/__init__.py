@@ -6,13 +6,8 @@ joint statistic distributions as continued fractions (one weight scheme per
 supported permutation class), a surgery connecting single-cycle permutations
 to set partitions, divisor-sum counts for cyclic pattern avoidance, and an
 inverse direction that recovers weights from a sequence prefix.
-
-Heavy kernels run on a compiled extension when available; set
-``MOTZKINPERM_PURE=1`` to force the pure-Python fallback, and
-``MOTZKINPERM_WORKERS`` to fan brute-force censuses over processes.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .bell import (
     SetPartition,
     block_path_to_partition,
@@ -35,7 +30,7 @@ from .invert import (
     regenerate,
 )
 from .mobius import brute_count, mobius_count, mobius_value
-from .oracle import distribution, distribution_series, members, sweep_counts
+from .oracle import distribution, members, sweep_counts
 from .paths import ColoredMotzkinPath, ColoredStep, enumerate_paths, path_to_perm, perm_to_path
 from .perms import DiagonalSequence, DiagonalType, Permutation, StatVector, foata, stats
 from .polys import MultiPoly
@@ -47,7 +42,6 @@ from .subsets import SubsetId, is_member
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "SetPartition",
     "block_path_to_partition",
     "cycle_to_partition",
@@ -74,7 +68,6 @@ __all__ = [
     "mobius_count",
     "mobius_value",
     "distribution",
-    "distribution_series",
     "members",
     "sweep_counts",
     "ColoredMotzkinPath",

@@ -1,28 +1,14 @@
-"""Hot-loop kernels with a compiled fast path.
+"""The statistic kernels behind every exhaustive census.
 
-``stat_tuple`` and ``census_stats`` come from the Cython extension when it was
-built, and from the pure-Python reference otherwise.  Set ``MOTZKINPERM_PURE=1``
-to force the pure backend (used by the equivalence tests and the benchmark).
+``BACKEND`` names the kernel that runs; the benchmark probe reads it.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import pure
 
 BACKEND = "pure"
 stat_tuple = pure.stat_tuple
 census_stats = pure.census_stats
-
-if not os.environ.get("MOTZKINPERM_PURE"):
-    try:
-        from . import _speedups  # type: ignore[attr-defined]
-    except ImportError:
-        pass
-    else:
-        BACKEND = "compiled"
-        stat_tuple = _speedups.stat_tuple
-        census_stats = _speedups.census_stats
 
 __all__ = ["BACKEND", "stat_tuple", "census_stats", "pure"]

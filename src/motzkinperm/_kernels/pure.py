@@ -1,8 +1,7 @@
 """Pure-Python statistic kernels.
 
 These two functions are the inner loop of every exhaustive census in the
-package.  ``_speedups`` reimplements them in C with identical semantics; this
-module is the reference and the fallback.
+package.
 """
 
 from __future__ import annotations

@@ -62,7 +62,6 @@ def census(
     n_max: int,
     marks: str = "",
     sources: Iterable[str] = ("bf", "cf", "closed"),
-    workers: int | None = None,
     scheme: WeightScheme | None = None,
 ) -> CensusReport:
     """Compute the class census for sizes 0..n_max from the chosen sources.
@@ -95,9 +94,7 @@ def census(
     values: dict[str, list] = {}
     if SOURCE_BRUTE in chosen:
         if marks:
-            values[SOURCE_BRUTE] = [
-                distribution(n, subset, marks, workers) for n in range(n_max + 1)
-            ]
+            values[SOURCE_BRUTE] = [distribution(n, subset, marks) for n in range(n_max + 1)]
         else:
             values[SOURCE_BRUTE] = [
                 sum(1 for _ in members(n, subset)) for n in range(n_max + 1)

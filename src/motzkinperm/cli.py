@@ -118,9 +118,7 @@ def _census_cell(value: object) -> object:
 def _cmd_census(args: argparse.Namespace) -> int:
     subset = SubsetId.from_name(args.subset)
     sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
-    report = build_census(
-        subset, args.n_max, args.marks, sources, workers=args.workers
-    )
+    report = build_census(subset, args.n_max, args.marks, sources)
     order = [s for s in (SOURCE_BRUTE, SOURCE_CFRAC, SOURCE_CLOSED) if s in report.values]
     if args.json:
         _print_json(
@@ -298,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--marks", default="", help="markers to keep, e.g. 'xv'")
     p.add_argument("--sources", default="bf,cf,closed", help="comma list of bf,cf,closed")
-    p.add_argument("--workers", type=int, default=None)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

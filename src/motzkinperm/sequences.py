@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import TYPE_CHECKING
 
-from .cfrac import jfraction_series
+from .cfrac import MAX_ORDER, jfraction_series
 from .series import Series
 
 if TYPE_CHECKING:
@@ -228,6 +228,12 @@ def ogf_catalan_counts(n_max: int) -> list[int]:
 
 
 def closed_form_counts(subset: SubsetId, n_max: int) -> list[int] | None:
-    """Known count formula for a class, or None where no product form exists."""
+    """Known count formula for a class, or None where no product form exists.
+
+    Sizes share the continued fraction's cap: the exact ``Fraction`` series
+    cost about n_max**3.
+    """
+    if n_max > MAX_ORDER:
+        raise ValueError(f"size {n_max} is over the cap of {MAX_ORDER}; cost grows steeply")
     closed = subset.spec.closed
     return None if closed is None else closed(n_max)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Callable, Sequence
 
@@ -61,16 +60,20 @@ class SubsetId(enum.Enum):
         return CLASSES[self]
 
 
-class CachedCycles(tuple):
-    """One-line values whose cycles the cycle predicates below compute once."""
-
-    @cached_property
-    def cycles(self) -> list[tuple[int, ...]]:
-        return cycle_list(self)
+# The last (values, cycles) pair, so the cycle predicates below decompose a
+# permutation once however many of them test it in a row.  Only a tuple is
+# served from it: it cannot change, and holding it keeps its id from reuse.
+_last_cycles: tuple = (None, [])
 
 
 def _cycles(values: Sequence[int]) -> list[tuple[int, ...]]:
-    return values.cycles if isinstance(values, CachedCycles) else cycle_list(values)
+    global _last_cycles
+    last = _last_cycles
+    if type(values) is tuple and values is last[0]:
+        return last[1]
+    cycles = cycle_list(values)
+    _last_cycles = (values, cycles)
+    return cycles
 
 
 def is_cyclic(values: Sequence[int]) -> bool:

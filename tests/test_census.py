@@ -68,7 +68,7 @@ def test_census_input_validation():
         census(SubsetId.ALL, 12, sources=("bf",))
 
 
-def test_census_without_brute_force_has_no_size_cap():
+def test_census_without_brute_force_runs_past_the_brute_force_cap():
     report = census(SubsetId.AVOID321, 12, sources=("cf", "closed"))
     assert report.passing
     assert report.values[SOURCE_CFRAC] == catalan_numbers(12)

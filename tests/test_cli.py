@@ -161,6 +161,7 @@ def test_cf_order_is_capped_before_any_expansion(capsys, monkeypatch):
     for argv in (
         ("cf", "--scheme", "Noncrossing", "--order", over),
         ("census", "--subset", "Avoid321", "--n-max", over, "--sources", "cf,closed"),
+        ("census", "--subset", "Avoid321", "--n-max", over, "--sources", "closed"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1

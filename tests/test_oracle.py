@@ -1,4 +1,4 @@
-"""Brute-force enumeration oracles and their fan-out controls."""
+"""Brute-force enumeration oracles."""
 
 from __future__ import annotations
 
@@ -12,10 +12,8 @@ from motzkinperm.oracle import (
     MAX_BRUTE_N,
     consecutive_123_distribution,
     distribution,
-    distribution_series,
     members,
     sweep_counts,
-    worker_count,
 )
 from motzkinperm.perms import count_consecutive_123, stats
 from motzkinperm.polys import MultiPoly
@@ -50,37 +48,6 @@ def test_distribution_restricted_to_a_subset():
         assert distribution(n, SubsetId.INVOLUTIONS, "xvwtq") == expected
 
 
-def test_distribution_series_wraps_per_size_polynomials():
-    series = distribution_series(4, SubsetId.ALL, "xvwt")
-    assert len(series) == 5
-    for n in range(5):
-        assert series[n] == distribution(n, SubsetId.ALL, "xvwt")
-
-
-def test_parallel_fanout_agrees_with_serial():
-    # ALL takes the single-sweep kernel path; other subsets fan by first value
-    for n in (0, 1, 6):
-        serial = distribution(n, SubsetId.ALL, "xvwt", workers=1)
-        fanned = distribution(n, SubsetId.ALL, "xvwt", workers=2)
-        assert serial == fanned
-    for subset in (SubsetId.AVOID321, SubsetId.INVOLUTIONS):
-        serial = distribution(6, subset, "xvq", workers=1)
-        fanned = distribution(6, subset, "xvq", workers=3)
-        assert serial == fanned
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("MOTZKINPERM_WORKERS", raising=False)
-    assert worker_count(4) == 4
-    assert worker_count(0) == 1
-    assert worker_count(None) == 1
-    monkeypatch.setenv("MOTZKINPERM_WORKERS", "3")
-    assert worker_count(None) == 3
-    monkeypatch.setenv("MOTZKINPERM_WORKERS", "not-a-number")
-    with pytest.raises(ValueError):
-        worker_count(None)
-
-
 def test_size_cap_is_enforced():
     with pytest.raises(ValueError):
         distribution(MAX_BRUTE_N + 1, SubsetId.ALL, "x")
@@ -110,6 +77,20 @@ def test_sweep_decomposes_each_permutation_into_cycles_at_most_once(monkeypatch)
     assert sweep_counts(5) == want
     assert 0 < len(calls) <= math.factorial(5)
     assert len(set(calls)) == len(calls)
+
+
+def test_members_decomposes_each_permutation_into_cycles_at_most_once(monkeypatch):
+    # UnimodalNoncrossing requires two cycle predicates; they share one decomposition
+    want = list(members(6, SubsetId.UNIMODAL_NONCROSSING))
+    calls = []
+
+    def counting_cycle_list(values):
+        calls.append(values)
+        return perms.cycle_list(values)
+
+    monkeypatch.setattr(subsets, "cycle_list", counting_cycle_list)
+    assert list(members(6, SubsetId.UNIMODAL_NONCROSSING)) == want
+    assert 0 < len(calls) <= math.factorial(6)
 
 
 def test_members_yields_exactly_the_subset():

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzkinperm.polys import VARS, MultiPoly
 
@@ -115,3 +118,76 @@ def test_pickle_round_trip():
     x, q = MultiPoly.var("x"), MultiPoly.var("q")
     p = x * q + MultiPoly.const(3)
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+# -- ring laws on random polynomials -----------------------------------------
+
+exponents = st.tuples(*[st.integers(0, 3)] * 5)
+polys = st.dictionaries(exponents, st.integers(-4, 4), max_size=6).map(MultiPoly)
+values = st.fixed_dictionaries({}, optional={name: st.integers(-2, 2) for name in VARS})
+
+
+@settings(deadline=None)
+@given(polys, polys, polys)
+def test_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+
+
+@settings(deadline=None)
+@given(polys)
+def test_zero_and_one_identities(a):
+    zero, one = MultiPoly.zero(), MultiPoly.one()
+    assert a + zero == a == zero + a
+    assert a * one == a == one * a
+    assert a * zero == 0 == a * 0
+    assert a + 0 == a == 1 * a
+    assert a - a == zero
+    assert bool(a) == (a != 0)
+
+
+@settings(deadline=None)
+@given(polys, st.integers(0, 5))
+def test_power_is_repeated_multiplication(a, k):
+    expected = MultiPoly.one()
+    for _ in range(k):
+        expected = expected * a
+    assert a**k == expected
+
+
+@settings(deadline=None)
+@given(polys, polys, values)
+def test_substitution_is_a_ring_homomorphism(a, b, vals):
+    assert (a + b).substitute(**vals) == a.substitute(**vals) + b.substitute(**vals)
+    assert (a * b).substitute(**vals) == a.substitute(**vals) * b.substitute(**vals)
+    everything = {name: vals.get(name, 1) for name in VARS}
+    assert a.substitute(**vals).substitute(**everything) == a.substitute(**everything)
+    assert a.substitute(**dict.fromkeys(VARS, 1)) == a.value_at_ones()
+
+
+@settings(deadline=None)
+@given(polys, polys, st.sampled_from(VARS))
+def test_coefficients_of_a_variable_rebuild_the_polynomial(a, b, name):
+    var = MultiPoly.var(name)
+    assert sum((a.coefficient_of(name, k) * var**k for k in range(4)), MultiPoly.zero()) == a
+    for k in range(4):
+        part = a.coefficient_of(name, k)
+        assert name not in part.variables_used()
+        assert (a + b).coefficient_of(name, k) == part + b.coefficient_of(name, k)
+
+
+@settings(deadline=None)
+@given(polys, polys)
+def test_pickling_and_printing_depend_only_on_the_value(a, b):
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+    shuffled = MultiPoly(dict(reversed(list(a.coeffs.items()))))
+    assert str(copy) == str(shuffled) == str((a + b) - b) == str(a)
+    assert str(a + a) == str(a * 2)
+    # one printed term per stored term
+    terms = re.split(r" [+-] ", str(a).lstrip("-"))
+    assert len(terms) == max(1, len(a.coeffs))

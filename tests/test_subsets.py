@@ -132,3 +132,18 @@ def test_intersection_classes_are_intersections():
                 assert is_member(perm, combined) == all(
                     is_member(perm, p) for p in parts
                 )
+
+
+def test_membership_of_a_list_mutated_in_place_is_fresh():
+    values = [1, 2, 3, 4]
+    assert not is_member(values, SubsetId.CYCLIC)
+    assert is_member(values, SubsetId.UNIMODAL_NONCROSSING)
+    values[:] = [2, 3, 4, 1]
+    assert is_member(values, SubsetId.CYCLIC)
+    values[:] = [3, 4, 1, 2]
+    assert not is_member(values, SubsetId.CYCLIC)
+    assert has_unimodal_cycles(values)
+    assert not has_noncrossing_cycles(values)
+    assert not is_member(values, SubsetId.UNIMODAL_NONCROSSING)
+    values[:] = [2, 1, 4, 3]
+    assert is_member(values, SubsetId.UNIMODAL_NONCROSSING)
