@@ -1,4 +1,4 @@
-"""Golden CLI outputs: ``cf`` and ``census`` JSON must stay byte for byte the same.
+"""Golden CLI outputs: the ``--json`` output of every subcommand must stay byte for byte the same.
 
 Each case runs the command-line front end in-process and compares its stdout
 with a gzip-compressed file under ``tests/golden/``.  A refactor of the class
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import gzip
 import io
+import random
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,17 @@ def _cases() -> dict[str, list[str]]:
         "census", "--subset", "UnimodalNoncrossing", "--n-max", "6",
         "--marks", "xvwtq", "--sources", "bf,cf", "--json",
     ]
+    big = " ".join(map(str, random.Random(300).sample(range(1, 301), 300)))
+    cases["map"] = ["map", "--perm", "3 1 4 2 5", "--json"]
+    cases["unmap"] = ["unmap", "--path", "U L1 U D1 L0 D0", "--json"]
+    cases["stats-small"] = ["stats", "--perm", "3 1 4 2 5", "--json"]
+    cases["stats-300"] = ["stats", "--perm", big, "--json"]
+    cases["invert-regenerate"] = [
+        "invert", "--terms", "1,1,2,4,9,21,51,127,323", "--regenerate", "--json"
+    ]
+    cases["bell"] = ["bell", "--perm", "2 6 8 3 9 11 4 5 1 7 10", "--json"]
+    cases["mobius-brute"] = ["mobius", "--family", "321,2143,3142", "--n", "7", "--brute", "--json"]
+    cases["check"] = ["check", "--n-max", "4", "--seed", "5", "--json"]
     return cases
 
 
