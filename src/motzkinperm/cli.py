@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
 from . import bell, mobius
@@ -31,17 +32,72 @@ from .census import (
 from .invert import classify_weights, invert_jfraction, regenerate
 from .paths import ColoredMotzkinPath, path_to_perm, perm_to_path
 from .perms import Permutation
-from .polys import MultiPoly
+from .polys import MultiPoly, format_terms
 from .schemes import scheme_for, scheme_names
 from .subsets import SubsetId
 
 
 def _poly_json(p: MultiPoly) -> dict:
-    return {"text": str(p), "terms": [[c, list(e)] for e, c in p.to_terms()]}
+    terms = p.to_terms()
+    return {"text": format_terms(terms), "terms": [[c, list(e)] for e, c in terms]}
+
+
+def _is_term(t: object) -> bool:
+    """Whether ``t`` is a polynomial term ``[c, [e0, e1, e2, e3, e4]]`` of ints."""
+    if type(t) is not list or len(t) != 2 or type(t[1]) is not list or len(t[1]) != 5:
+        return False
+    return all(type(v) is int for v in (t[0], *t[1]))
+
+
+def _write_json(o: object, ind: str, out: list[str]) -> None:
+    """Append the text of ``json.dumps(o, indent=2)``, nested at indent ``ind``.
+
+    Dict keys must be str.  Lists of ints and lists of polynomial terms are
+    written in one join each.
+    """
+    if isinstance(o, str):
+        out.append(_json_str(o))
+    elif o is None or isinstance(o, (int, float)):
+        out.append(json.dumps(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = ind + "  "
+        if all(type(item) is int for item in o):
+            out.append(f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, o)) + f"\n{ind}]")
+            return
+        if all(map(_is_term, o)):
+            i1, i2 = inner + "  ", inner + "    "
+            row = f"{inner}[\n{i1}%d,\n{i1}[\n" + ",\n".join([f"{i2}%d"] * 5) + f"\n{i1}]\n{inner}]"
+            out.append("[\n" + ",\n".join([row % (c, *e) for c, e in o]) + f"\n{ind}]")
+            return
+        sep = f"[\n{inner}"
+        for item in o:
+            out.append(sep)
+            sep = f",\n{inner}"
+            _write_json(item, inner, out)
+        out.append(f"\n{ind}]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = ind + "  "
+        sep = f"{{\n{inner}"
+        for key, value in o.items():
+            out.append(f"{sep}{_json_str(key)}: ")
+            sep = f",\n{inner}"
+            _write_json(value, inner, out)
+        out.append(f"\n{ind}}}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _print_json(data: object) -> None:
-    print(json.dumps(data, indent=2))
+    """Print ``json.dumps(data, indent=2)``, written without the pure-Python encoder."""
+    out: list[str] = []
+    _write_json(data, "", out)
+    print("".join(out))
 
 
 def _parse_terms(text: str) -> list[Fraction]:

@@ -6,9 +6,18 @@ The census attaches to each permutation the monomial
       * t^(cycles) * q^(inversions)
 
 and sums these over a class of permutations.  :class:`MultiPoly` is the small
-exact arithmetic needed for that: dict from exponent 5-tuples to int
-coefficients, immutable by convention, picklable, with +, -, *, ** and
-comparison against plain ints.
+exact arithmetic needed for that, immutable by convention, picklable, with
++, -, *, ** and comparison against plain ints.
+
+Each term is keyed by one packed int (a Kronecker substitution): exponent
+e_i sits in a W-bit slot, ``sum(e_i << (W * (4 - i)))``, so x holds the
+highest slot and q the lowest, and a term product is one int addition.
+Descending key order is then descending lexicographic exponent order.
+Every polynomial carries ``top``, a bound on each of its exponents: + and -
+keep the larger bound, * adds them, and a product whose bound would reach
+2**W raises OverflowError instead of carrying between slots.  The public
+constructors, ``coefficient``, ``to_terms`` and pickles speak exponent
+5-tuples.
 """
 
 from __future__ import annotations
@@ -16,29 +25,72 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 VARS = ("x", "v", "w", "t", "q")
-_ZEROS = (0, 0, 0, 0, 0)
+W = 64
+_MASK = (1 << W) - 1
+_SHIFTS = tuple(W * (4 - i) for i in range(5))
+
+
+def _pack(exps: Iterable[int]) -> tuple[int, int]:
+    """The packed key of an exponent 5-tuple, and its largest exponent."""
+    key = tuple(exps)
+    if len(key) != 5 or not all(type(e) is int and 0 <= e <= _MASK for e in key):
+        raise ValueError(f"bad exponent tuple {key!r}")
+    x, v, w, t, q = key
+    return (((x << W | v) << W | w) << W | t) << W | q, max(key)
+
+
+def _unpack(k: int) -> tuple[int, int, int, int, int]:
+    return (k >> 4 * W, k >> 3 * W & _MASK, k >> 2 * W & _MASK, k >> W & _MASK, k & _MASK)
+
+
+def format_terms(terms: list[tuple[tuple[int, ...], int]]) -> str:
+    """Text of a polynomial from its terms, in the order given."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps, c in terms:
+        mono = "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, exps) if e])
+        mag = c if c > 0 else -c
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        parts.append(f" - {body}" if c < 0 else f" + {body}")
+    first = parts[0]
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(parts)
 
 
 class MultiPoly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "top")
 
-    def __init__(self, coeffs: Mapping[tuple[int, ...], int] | None = None):
-        clean: dict[tuple[int, int, int, int, int], int] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                if c == 0:
-                    continue
-                key = tuple(exps)
-                if len(key) != 5 or any(e < 0 for e in key):
-                    raise ValueError(f"bad exponent tuple {key!r}")
+    def __new__(cls, coeffs: Mapping[tuple[int, ...], int] | None = None) -> "MultiPoly":
+        clean: dict[int, int] = {}
+        top = 0
+        for exps, c in (coeffs or {}).items():
+            key, high = _pack(exps)
+            if c:
                 clean[key] = clean.get(key, 0) + c
-        object.__setattr__(self, "coeffs", clean)
+                top = max(top, high)
+        return cls._make(clean, top)
+
+    @classmethod
+    def _make(cls, coeffs: dict[int, int], top: int) -> "MultiPoly":
+        """Wrap packed terms without checking them; zero terms are dropped."""
+        p = object.__new__(cls)
+        if 0 in coeffs.values():
+            coeffs = {k: c for k, c in coeffs.items() if c}
+        object.__setattr__(p, "coeffs", coeffs)
+        object.__setattr__(p, "top", top)
+        return p
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):
-        return (MultiPoly, (self.coeffs,))
+        return (MultiPoly, (dict(self.to_terms()),))
 
     # -- constructors ------------------------------------------------------
 
@@ -48,18 +100,15 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({_ZEROS: 1})
+        return cls.const(1)
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
-        return cls({_ZEROS: c})
+        return cls._make({0: c}, 0)
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        i = VARS.index(name)
-        exps = [0] * 5
-        exps[i] = 1
-        return cls({tuple(exps): 1})
+        return cls._make({1 << _SHIFTS[VARS.index(name)]: 1}, 1)
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "MultiPoly":
@@ -79,15 +128,19 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        merged = dict(self.coeffs)
-        for exps, c in o.coeffs.items():
-            merged[exps] = merged.get(exps, 0) + c
-        return MultiPoly(merged)
+        big, small = self.coeffs, o.coeffs
+        if len(big) < len(small):
+            big, small = small, big
+        merged = dict(big)
+        get = merged.get
+        for k, c in small.items():
+            merged[k] = get(k, 0) + c
+        return MultiPoly._make(merged, max(self.top, o.top))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.coeffs.items()})
+        return MultiPoly._make({k: -c for k, c in self.coeffs.items()}, self.top)
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         o = self._coerce(other)
@@ -105,18 +158,20 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                key = (
-                    e1[0] + e2[0],
-                    e1[1] + e2[1],
-                    e1[2] + e2[2],
-                    e1[3] + e2[3],
-                    e1[4] + e2[4],
-                )
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(out)
+        top = self.top + o.top
+        if top > _MASK:
+            raise OverflowError(f"product exponents could reach {top}, past the {W}-bit slots")
+        small, big = self.coeffs, o.coeffs
+        if len(small) > len(big):
+            small, big = big, small
+        out: dict[int, int] = {}
+        get = out.get
+        right = list(big.items())
+        for k1, c1 in small.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return MultiPoly._make(out, top)
 
     __rmul__ = __mul__
 
@@ -148,17 +203,19 @@ class MultiPoly:
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exps: Iterable[int]) -> int:
-        return self.coeffs.get(tuple(exps), 0)
+        try:
+            key, _ = _pack(exps)
+        except ValueError:
+            return 0
+        return self.coeffs.get(key, 0)
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """The coefficient of ``name**power`` as a polynomial (slot zeroed)."""
-        i = VARS.index(name)
-        out: dict[tuple[int, ...], int] = {}
-        for exps, c in self.coeffs.items():
-            if exps[i] == power:
-                key = exps[:i] + (0,) + exps[i + 1 :]
-                out[key] = out.get(key, 0) + c
-        return MultiPoly(out)
+        shift = _SHIFTS[VARS.index(name)]
+        return MultiPoly._make(
+            {k - (power << shift): c for k, c in self.coeffs.items() if k >> shift & _MASK == power},
+            self.top,
+        )
 
     def substitute(self, **values: int) -> "MultiPoly":
         """Set some of x, v, w, t, q to integer values.
@@ -172,61 +229,29 @@ class MultiPoly:
         for name in values:
             if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
-        out: dict[tuple[int, ...], int] = {}
-        for exps, c in self.coeffs.items():
-            factor = 1
-            key = list(exps)
-            for name, val in values.items():
-                i = VARS.index(name)
-                factor *= val ** exps[i]
-                key[i] = 0
-            if factor == 0:
-                continue
-            k = tuple(key)
-            out[k] = out.get(k, 0) + c * factor
-        return MultiPoly(out)
+        slots = [(_SHIFTS[VARS.index(name)], val) for name, val in values.items()]
+        out: dict[int, int] = {}
+        for k, c in self.coeffs.items():
+            key = k
+            for shift, val in slots:
+                e = k >> shift & _MASK
+                c *= val**e
+                key -= e << shift
+            if c:
+                out[key] = out.get(key, 0) + c
+        return MultiPoly._make(out, self.top)
 
     def value_at_ones(self) -> int:
         return sum(self.coeffs.values())
 
-    def variables_used(self) -> frozenset[str]:
-        used = set()
-        for exps in self.coeffs:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(VARS[i])
-        return frozenset(used)
-
     def to_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponents, coefficient), descending lexicographic."""
-        return sorted(self.coeffs.items(), reverse=True)
+        return [(_unpack(k), c) for k, c in sorted(self.coeffs.items(), reverse=True)]
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for exps, c in self.to_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(VARS, exps)
-                if e
-            )
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return format_terms(self.to_terms())
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.coeffs!r})"
-
+        return f"MultiPoly({dict(self.to_terms())!r})"

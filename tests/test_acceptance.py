@@ -17,6 +17,18 @@ from collections import Counter
 from fractions import Fraction
 
 from conftest import all_perms
+from reference import (
+    central_binomials,
+    central_trinomials,
+    derangement_numbers,
+    even_double_factorials,
+    labeled_graph_counts,
+    motzkin_numbers,
+    no_singleton_partition_counts,
+    odd_double_factorials,
+    schroder_numbers,
+    zigzag_numbers,
+)
 
 from motzkinperm.bell import (
     SetPartition,
@@ -50,21 +62,11 @@ from motzkinperm.sequences import (
     baxter_numbers,
     bell_numbers,
     catalan_numbers,
-    central_binomials,
-    central_trinomials,
     closed_form_counts,
     consecutive_123_avoider_counts,
-    derangement_numbers,
-    even_double_factorials,
     factorials,
     genocchi_numbers,
-    labeled_graph_counts,
     median_genocchi_numbers,
-    motzkin_numbers,
-    no_singleton_partition_counts,
-    odd_double_factorials,
-    schroder_numbers,
-    zigzag_numbers,
 )
 from motzkinperm.subsets import SubsetId
 

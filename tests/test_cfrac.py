@@ -14,8 +14,10 @@ from motzkinperm.cfrac import WeightScheme, jfraction_series, kfraction_series
 from motzkinperm.oracle import distribution
 from motzkinperm.polys import MultiPoly
 from motzkinperm.schemes import scheme_for
-from motzkinperm.sequences import derangement_numbers, factorials, motzkin_numbers
+from motzkinperm.sequences import factorials
 from motzkinperm.subsets import SubsetId
+
+from reference import derangement_numbers, motzkin_numbers
 
 
 def ones(_h: int) -> Fraction:

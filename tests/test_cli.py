@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motzkinperm
 from motzkinperm import cfrac
 from motzkinperm.cfrac import MAX_ORDER
-from motzkinperm.cli import main
+from motzkinperm.cli import _print_json, main
 
 
 def run(capsys, *argv):
@@ -283,3 +288,49 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["excedances"] == 2
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "é ∑ 𝔸 \u2028", "\ud800"])
+)
+# Lists shaped like polynomial terms [c, [e0..e4]], mixed with near misses
+# (a bool, a float, four or six exponents) that must not take the fast path.
+entries = st.integers() | st.booleans() | st.floats(allow_nan=False)
+terms = st.lists(
+    st.tuples(entries, st.lists(entries, min_size=4, max_size=6)).map(list)
+    | st.tuples(st.integers(), st.lists(st.integers(0, 2**70), min_size=5, max_size=5)).map(list)
+)
+documents = st.recursive(
+    scalars | terms,
+    lambda inner: st.lists(inner)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+def _printed(data: object) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_json(data)
+    return out.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(documents)
+def test_json_writer_matches_the_indenting_encoder(data):
+    assert _printed(data) == json.dumps(data, indent=2) + "\n"
+
+
+def test_json_writer_refuses_what_it_cannot_write():
+    for data in ({"a": Fraction(1, 2)}, [{1, 2}], {1: "a key that is not a str"}):
+        with pytest.raises(TypeError):
+            _printed(data)

@@ -20,8 +20,9 @@ from motzkinperm.sequences import (
     bell_numbers,
     catalan_numbers,
     factorials,
-    motzkin_numbers,
 )
+
+from reference import motzkin_numbers
 
 
 def test_factorial_prefix_recovers_square_and_odd_weights():

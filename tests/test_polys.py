@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motzkinperm.polys import VARS, MultiPoly
+from motzkinperm.polys import VARS, W, MultiPoly
+
+from reference import variables_used
 
 
 def test_variable_order_is_fixed():
@@ -81,8 +83,8 @@ def test_substitute_and_value_at_ones():
 
 def test_variables_used():
     x, w = MultiPoly.var("x"), MultiPoly.var("w")
-    assert (x * w + x).variables_used() == {"x", "w"}
-    assert MultiPoly.const(3).variables_used() == set()
+    assert variables_used(x * w + x) == {"x", "w"}
+    assert variables_used(MultiPoly.const(3)) == set()
 
 
 def test_string_forms():
@@ -118,6 +120,40 @@ def test_pickle_round_trip():
     x, q = MultiPoly.var("x"), MultiPoly.var("q")
     p = x * q + MultiPoly.const(3)
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_pickles_carry_exponent_tuples():
+    x, q = MultiPoly.var("x"), MultiPoly.var("q")
+    p = x * q + MultiPoly.const(3)
+    assert p.__reduce__() == (MultiPoly, ({(1, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0): 3},))
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [(0.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (True, 0, 0, 0, 0), (1, 2), (1, 0, 0, 0, 0, 0),
+     (-1, 0, 0, 0, 0), (0, 0, 0, 0, 1 << W)],
+)
+@pytest.mark.parametrize("coeff", [0, 1])
+def test_constructor_checks_every_exponent_tuple(exps, coeff):
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MultiPoly({exps: coeff})
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MultiPoly.monomial(exps, coeff)
+
+
+def test_largest_exponent_fits_and_products_past_the_slot_raise():
+    top = (1 << W) - 1
+    big = MultiPoly.monomial((0, 0, 0, 0, top))
+    assert big.to_terms() == [((0, 0, 0, 0, top), 1)]
+    with pytest.raises(OverflowError):
+        big * MultiPoly.var("q")
+    half = MultiPoly.monomial((1 << (W - 1), 0, 0, 0, 0))
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        (half + 1) ** 2
+    below = MultiPoly.monomial(((1 << (W - 1)) - 1, 0, 0, 0, 0))
+    assert (half * below).to_terms() == [((top, 0, 0, 0, 0), 1)]
 
 
 # -- ring laws on random polynomials -----------------------------------------
@@ -176,7 +212,7 @@ def test_coefficients_of_a_variable_rebuild_the_polynomial(a, b, name):
     assert sum((a.coefficient_of(name, k) * var**k for k in range(4)), MultiPoly.zero()) == a
     for k in range(4):
         part = a.coefficient_of(name, k)
-        assert name not in part.variables_used()
+        assert name not in variables_used(part)
         assert (a + b).coefficient_of(name, k) == part + b.coefficient_of(name, k)
 
 
@@ -185,9 +221,52 @@ def test_coefficients_of_a_variable_rebuild_the_polynomial(a, b, name):
 def test_pickling_and_printing_depend_only_on_the_value(a, b):
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and hash(copy) == hash(a)
-    shuffled = MultiPoly(dict(reversed(list(a.coeffs.items()))))
+    shuffled = MultiPoly(dict(reversed(a.to_terms())))
     assert str(copy) == str(shuffled) == str((a + b) - b) == str(a)
     assert str(a + a) == str(a * 2)
     # one printed term per stored term
     terms = re.split(r" [+-] ", str(a).lstrip("-"))
     assert len(terms) == max(1, len(a.coeffs))
+
+
+# -- packed keys against plain exponent tuples --------------------------------
+
+
+def _tuple_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _tuple_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# Small exponents collide; exponents near 2**63 would carry into the next
+# slot of a narrower packing.
+wide = st.tuples(*[st.integers(0, 3) | st.integers(0, 2**63 - 1)] * 5)
+term_dicts = st.dictionaries(wide, st.integers(-(2**70), 2**70) | st.integers(-3, 3), max_size=6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(term_dicts, term_dicts)
+def test_packed_arithmetic_matches_tuple_arithmetic(a, b):
+    pa, pb = MultiPoly(a), MultiPoly(b)
+    clean_a = {e: c for e, c in a.items() if c}
+    assert dict(pa.to_terms()) == clean_a
+    assert dict((pa + pb).to_terms()) == _tuple_add(a, b)
+    assert dict((pa - pb).to_terms()) == _tuple_add(a, {e: -c for e, c in b.items()})
+    assert dict((pa * pb).to_terms()) == _tuple_mul(a, b)
+
+
+@settings(deadline=None)
+@given(term_dicts)
+def test_terms_come_in_descending_lexicographic_order(a):
+    expected = sorted(((e, c) for e, c in a.items() if c), reverse=True)
+    assert MultiPoly(a).to_terms() == expected

@@ -9,28 +9,31 @@ from motzkinperm.sequences import (
     baxter_numbers,
     bell_numbers,
     catalan_numbers,
-    central_binomials,
-    central_trinomials,
     closed_form_counts,
     consecutive_123_avoider_counts,
-    derangement_numbers,
     egf_involution_counts,
     egf_no_double_step_counts,
     egf_unimodal_cycle_counts,
-    even_double_factorials,
     factorials,
     genocchi_numbers,
-    labeled_graph_counts,
     median_genocchi_numbers,
+    ogf_catalan_counts,
+    ogf_increasing_exc_def_counts,
+)
+from motzkinperm.subsets import SubsetId
+
+from reference import (
+    central_binomials,
+    central_trinomials,
+    derangement_numbers,
+    even_double_factorials,
+    labeled_graph_counts,
     motzkin_numbers,
     no_singleton_partition_counts,
     odd_double_factorials,
-    ogf_catalan_counts,
-    ogf_increasing_exc_def_counts,
     schroder_numbers,
     zigzag_numbers,
 )
-from motzkinperm.subsets import SubsetId
 
 
 def test_factorials():
