@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motzkinperm
@@ -305,8 +305,9 @@ scalars = (
 # (a bool, a float, four or six exponents) that must not take the fast path.
 entries = st.integers() | st.booleans() | st.floats(allow_nan=False)
 terms = st.lists(
-    st.tuples(entries, st.lists(entries, min_size=4, max_size=6)).map(list)
-    | st.tuples(st.integers(), st.lists(st.integers(0, 2**70), min_size=5, max_size=5)).map(list)
+    st.tuples(st.integers(), st.lists(st.integers(0, 2**70), min_size=5, max_size=5)).map(list)
+    | st.tuples(entries, st.lists(entries, min_size=5, max_size=5)).map(list)
+    | st.tuples(entries, st.lists(entries, min_size=4, max_size=6)).map(list)
 )
 documents = st.recursive(
     scalars | terms,
@@ -326,6 +327,9 @@ def _printed(data: object) -> str:
 
 @settings(deadline=None, max_examples=300)
 @given(documents)
+@example([[1, [0, 0, 0, 0, 0]], [True, [0, 0, 0, 0, 0]]])
+@example([[1, [0, 0, 0, 0, 1.5]]])
+@example([[1, [0, 0, 0, False, 0]]])
 def test_json_writer_matches_the_indenting_encoder(data):
     assert _printed(data) == json.dumps(data, indent=2) + "\n"
 
