@@ -52,8 +52,7 @@ def _is_term(t: object) -> bool:
 def _write_json(o: object, ind: str, out: list[str]) -> None:
     """Append the text of ``json.dumps(o, indent=2)``, nested at indent ``ind``.
 
-    Dict keys must be str.  Lists of ints and lists of polynomial terms are
-    written in one join each.
+    Dict keys must be str.  A list of polynomial terms is written in one join.
     """
     if isinstance(o, str):
         out.append(_json_str(o))
@@ -64,9 +63,6 @@ def _write_json(o: object, ind: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = ind + "  "
-        if all(type(item) is int for item in o):
-            out.append(f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, o)) + f"\n{ind}]")
-            return
         if all(map(_is_term, o)):
             i1, i2 = inner + "  ", inner + "    "
             row = f"{inner}[\n{i1}%d,\n{i1}[\n" + ",\n".join([f"{i2}%d"] * 5) + f"\n{i1}]\n{inner}]"

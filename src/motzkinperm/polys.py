@@ -14,10 +14,12 @@ e_i sits in a W-bit slot, ``sum(e_i << (W * (4 - i)))``, so x holds the
 highest slot and q the lowest, and a term product is one int addition.
 Descending key order is then descending lexicographic exponent order.
 Every polynomial carries ``top``, a bound on each of its exponents: + and -
-keep the larger bound, * adds them, and a product whose bound would reach
-2**W raises OverflowError instead of carrying between slots.  The public
-constructors, ``coefficient``, ``to_terms`` and pickles speak exponent
-5-tuples.
+keep the larger bound, * adds them.  The bound does not shrink when terms
+cancel or a slot is zeroed, so a product whose bound would reach 2**W first
+looks at the exponents themselves, and raises OverflowError only if some
+exponent of the product really reaches 2**W (it would carry between slots).
+The public constructors, ``coefficient``, ``to_terms`` and pickles speak
+exponent 5-tuples.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ def _pack(exps: Iterable[int]) -> tuple[int, int]:
 
 def _unpack(k: int) -> tuple[int, int, int, int, int]:
     return (k >> 4 * W, k >> 3 * W & _MASK, k >> 2 * W & _MASK, k >> W & _MASK, k & _MASK)
+
+
+def _slot_tops(coeffs: Iterable[int]) -> list[int]:
+    """The largest exponent in each slot over some packed keys (all 0 if none)."""
+    return [max(col) for col in zip(*map(_unpack, coeffs))] or [0] * 5
 
 
 def format_terms(terms: list[tuple[tuple[int, ...], int]]) -> str:
@@ -104,7 +111,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
-        return cls._make({0: c}, 0)
+        return cls._make({0: 0 + c}, 0)  # 0 + c stores True as 1
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
@@ -160,7 +167,9 @@ class MultiPoly:
             return NotImplemented
         top = self.top + o.top
         if top > _MASK:
-            raise OverflowError(f"product exponents could reach {top}, past the {W}-bit slots")
+            top = max(map(sum, zip(_slot_tops(self.coeffs), _slot_tops(o.coeffs))))
+        if top > _MASK:
+            raise OverflowError(f"a product exponent reaches {top}, past the {W}-bit slots")
         small, big = self.coeffs, o.coeffs
         if len(small) > len(big):
             small, big = big, small
@@ -183,8 +192,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -203,11 +213,8 @@ class MultiPoly:
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exps: Iterable[int]) -> int:
-        try:
-            key, _ = _pack(exps)
-        except ValueError:
-            return 0
-        return self.coeffs.get(key, 0)
+        """The coefficient of one monomial; ValueError for a bad exponent tuple."""
+        return self.coeffs.get(_pack(exps)[0], 0)
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """The coefficient of ``name**power`` as a polynomial (slot zeroed)."""

@@ -139,6 +139,15 @@ def test_constructor_checks_every_exponent_tuple(exps, coeff):
         MultiPoly({exps: coeff})
     with pytest.raises(ValueError, match="bad exponent tuple"):
         MultiPoly.monomial(exps, coeff)
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MultiPoly.var("x").coefficient(exps)
+
+
+def test_bool_constants_are_stored_as_ints():
+    assert type(MultiPoly.const(True).coeffs[0]) is int
+    assert str(MultiPoly.const(True)) == "1"
+    assert (MultiPoly.var("x") + True).to_terms() == [((1, 0, 0, 0, 0), 1), ((0, 0, 0, 0, 0), 1)]
+    assert type((MultiPoly.var("x") + True).to_terms()[1][1]) is int
 
 
 def test_largest_exponent_fits_and_products_past_the_slot_raise():
@@ -154,6 +163,19 @@ def test_largest_exponent_fits_and_products_past_the_slot_raise():
         (half + 1) ** 2
     below = MultiPoly.monomial(((1 << (W - 1)) - 1, 0, 0, 0, 0))
     assert (half * below).to_terms() == [((top, 0, 0, 0, 0), 1)]
+
+
+def test_a_loose_degree_bound_does_not_raise_for_products_that_fit():
+    top = (1 << W) - 1
+    x, q = MultiPoly.var("x"), MultiPoly.var("q")
+    big = MultiPoly.monomial((0, 0, 0, 0, top))
+    # The bound stays at 2**W - 1 after the big term cancels or is zeroed.
+    assert (big + q - big) * q == q * q
+    assert big.substitute(q=1) * big == big
+    assert (x * big).coefficient_of("q", top) * big == x * big
+    quarter = MultiPoly.monomial((0, 0, 0, 0, 1 << (W - 2)))
+    assert quarter**2 == MultiPoly.monomial((0, 0, 0, 0, 1 << (W - 1)))
+    assert (quarter * x) ** 2 == MultiPoly.monomial((2, 0, 0, 0, 1 << (W - 1)))
 
 
 # -- ring laws on random polynomials -----------------------------------------
