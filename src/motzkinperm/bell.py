@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .paths import ColoredMotzkinPath, ColoredStep, enumerate_paths
-from .perms import DiagonalType, Permutation, _DiagramState, classify_entries, ray_choices
+from .paths import ColoredMotzkinPath, check_family, enumerate_paths
+from .perms import DiagonalType, Permutation, _DiagramState, _require_permutation, diagram_walk
 from .subsets import SubsetId, is_member
 
 
@@ -108,74 +108,32 @@ def _elevated_down_colors(h: int) -> int:
     return 1 if h == 1 else h - 1
 
 
-def _elevated_level_colors(h: int) -> int:
-    return h + 1
-
-
 def _grounded_down_colors(h: int) -> int:
     return h
 
 
-def _grounded_level_colors(h: int) -> int:
+def _level_colors(h: int) -> int:
     return h + 1
 
 
 def validate_cycle_path(path: ColoredMotzkinPath) -> None:
     """Check the elevated-family constraints; raise ValueError otherwise."""
-    n = len(path.steps)
-    if n == 0:
-        raise ValueError("the elevated family has no empty path")
-    if n == 1:
-        st = path.steps[0]
-        if st.letter != "L" or st.color != 0:
-            raise ValueError("a length-1 path must be the level step L0")
-        return
-    height = 0
-    for i, st in enumerate(path.steps, start=1):
-        last = i == n
-        if st.letter == "U":
-            height += 1
-        elif st.letter == "D":
-            if last:
-                if st.height != 1 or st.color != 0:
-                    raise ValueError("the final step must fall from height 1 with color 0")
-            else:
-                if st.height < 2 or st.color > st.height - 2:
-                    raise ValueError(
-                        f"interior down step {i} needs height >= 2 and color "
-                        f"<= height-2, got height {st.height} color {st.color}"
-                    )
-            height -= 1
-        else:
-            if st.color > st.height:
-                raise ValueError(f"level step {i} has color {st.color} > height {st.height}")
-        if not last and height < 1:
-            raise ValueError(f"interior touches the axis at step {i}")
-    if height != 0:
-        raise ValueError("path does not return to the axis")
+    check_family(path, _elevated_down_colors, _level_colors, elevated=True)
 
 
 def validate_block_path(path: ColoredMotzkinPath) -> None:
     """Check the grounded-family constraints; raise ValueError otherwise."""
-    for i, st in enumerate(path.steps, start=1):
-        if st.letter == "D" and st.color > st.height - 1:
-            raise ValueError(
-                f"down step {i} has color {st.color}, allowed 0..{st.height - 1}"
-            )
-        if st.letter == "L" and st.color > st.height:
-            raise ValueError(f"level step {i} has color {st.color} > height {st.height}")
+    check_family(path, _grounded_down_colors, _level_colors)
 
 
 def enumerate_cycle_paths(n: int) -> Iterator[ColoredMotzkinPath]:
     """The elevated family of length n (Bell-counted one size down)."""
-    return enumerate_paths(
-        n, _elevated_down_colors, _elevated_level_colors, elevated=True
-    )
+    return enumerate_paths(n, _elevated_down_colors, _level_colors, elevated=True)
 
 
 def enumerate_block_paths(n: int) -> Iterator[ColoredMotzkinPath]:
     """The grounded family of length n (Bell-counted)."""
-    return enumerate_paths(n, _grounded_down_colors, _grounded_level_colors)
+    return enumerate_paths(n, _grounded_down_colors, _level_colors)
 
 
 # -- single-cycle permutations <-> elevated paths ----------------------------
@@ -183,17 +141,15 @@ def enumerate_block_paths(n: int) -> Iterator[ColoredMotzkinPath]:
 
 def cycle_to_path(perm: Permutation | Sequence[int]) -> ColoredMotzkinPath:
     """Encode a single-cycle permutation with increasing excedance values."""
-    values = perm.values if isinstance(perm, Permutation) else tuple(perm)
+    values = _require_permutation(perm)
     if not is_member(values, SubsetId.CYCLIC_INCREASING_EXC):
         raise ValueError(
             "input must be a single cycle whose excedance values increase "
             "left to right"
         )
     n = len(values)
-    entries = classify_entries(values)
-    choices = ray_choices(values)
     pairs: list[tuple[str, int]] = []
-    for i, ((typ, h), choice) in enumerate(zip(entries, choices), start=1):
+    for i, (typ, h, choice) in enumerate(diagram_walk(values), start=1):
         if typ is DiagonalType.OPEN:
             pairs.append(("U", 0))
         elif typ is DiagonalType.FIXED:
@@ -361,7 +317,7 @@ def weak_exc_partition(perm: Permutation | Sequence[int]) -> SetPartition:
     Restricted to permutations whose weak excedance values increase, this is
     a bijection onto set partitions of [n].
     """
-    values = perm.values if isinstance(perm, Permutation) else tuple(perm)
+    values = _require_permutation(perm)
     if not is_member(values, SubsetId.INCREASING_WEAK_EXC):
         raise ValueError(
             "weak excedance values must increase left to right"

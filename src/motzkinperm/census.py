@@ -281,9 +281,7 @@ def _check_corrupted_scheme(max_n: int, rng: random.Random) -> list[str]:
     bumped = WeightScheme(
         name="All(corrupted)",
         down=lambda h: base.down(h) + (1 if h == 1 else 0),
-        level_fixed=base.level_fixed,
-        level_upper=base.level_upper,
-        level_lower=base.level_lower,
+        level=base.level,
     )
     report = census(SubsetId.ALL, 2, sources=("bf", "cf"), scheme=bumped)
     if report.passing:

@@ -2,10 +2,10 @@
 
 A weight scheme assigns to every step of a colored Motzkin path a marker
 polynomial: ``down(h)`` is the total weight of a down step falling from
-height h, and the level weight at height h splits into fixed, upper-bounce
-and lower-bounce parts.  Summing the product of step weights over all paths
-of length n gives the census polynomial of the permutation class the scheme
-describes, and that generating function is exactly the continued fraction
+height h and ``level(h)`` that of a level step at height h.  Summing the
+product of step weights over all paths of length n gives the census
+polynomial of the permutation class the scheme describes, and that
+generating function is exactly the continued fraction
 
     1 / (1 - level(0) z - down(1) z^2 / (1 - level(1) z - down(2) z^2 / ...))
 
@@ -88,18 +88,13 @@ def kfraction_series(
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Step weights for one permutation class, split by step role."""
+    """Step weights for one permutation class: ``down(h)`` and ``level(h)``."""
 
     name: str
     down: Callable[[int], MultiPoly]
-    level_fixed: Callable[[int], MultiPoly]
-    level_upper: Callable[[int], MultiPoly]
-    level_lower: Callable[[int], MultiPoly]
+    level: Callable[[int], MultiPoly]
     elevated: bool = False
     marks: frozenset = field(default_factory=frozenset)
-
-    def level(self, h: int) -> MultiPoly:
-        return self.level_fixed(h) + self.level_upper(h) + self.level_lower(h)
 
     def series(self, order: int) -> tuple[MultiPoly, ...]:
         """Census polynomials c_0..c_order, for order up to MAX_ORDER."""

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from . import _kernels
 from .perms import count_consecutive_123
-from .polys import VARS, MultiPoly
+from .polys import VARS, MultiPoly, check_marks
 from .subsets import SubsetId, is_member
 
 MAX_BRUTE_N = 9
@@ -29,18 +29,6 @@ def _check_size(n: int) -> None:
         )
 
 
-def _mask(marks: Iterable[str]) -> tuple[int, ...]:
-    keep = set(marks)
-    bad = keep - set(VARS)
-    if bad:
-        raise ValueError(f"unknown markers {sorted(bad)}; valid markers are {list(VARS)}")
-    return tuple(1 if name in keep else 0 for name in VARS)
-
-
-def _masked(exps: tuple[int, ...], mask: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(e * m for e, m in zip(exps, mask))
-
-
 def distribution(
     n: int,
     subset: SubsetId = SubsetId.ALL,
@@ -52,7 +40,8 @@ def distribution(
     with unrequested markers evaluated at 1.
     """
     _check_size(n)
-    mask = _mask(marks)
+    keep = check_marks(marks)
+    mask = tuple(1 if name in keep else 0 for name in VARS)
 
     if subset is SubsetId.ALL:
         # the kernel enumerates the whole symmetric group in one sweep
@@ -61,7 +50,7 @@ def distribution(
         tally = ((_kernels.stat_tuple(values), 1) for values in members(n, subset))
     acc: dict[tuple[int, ...], int] = {}
     for exps, count in tally:
-        key = _masked(exps, mask)
+        key = tuple(e * m for e, m in zip(exps, mask))
         acc[key] = acc.get(key, 0) + count
     return MultiPoly(acc)
 

@@ -26,8 +26,8 @@ from .perms import (
     DiagonalType,
     Permutation,
     _DiagramState,
-    classify_entries,
-    ray_choices,
+    _require_permutation,
+    diagram_walk,
 )
 
 
@@ -57,34 +57,7 @@ class ColoredMotzkinPath:
     steps: tuple[ColoredStep, ...]
 
     def __post_init__(self) -> None:
-        h = 0
-        for idx, st in enumerate(self.steps):
-            if st.letter == "U":
-                h += 1
-                top = h
-                bound = 1
-            elif st.letter == "D":
-                top = h
-                h -= 1
-                bound = standard_down_colors(top)
-            elif st.letter == "L":
-                top = h
-                bound = standard_level_colors(top)
-            else:
-                raise ValueError(f"bad letter {st.letter!r} at step {idx + 1}")
-            if h < 0:
-                raise ValueError(f"path dips below height 0 at step {idx + 1}")
-            if st.height != top:
-                raise ValueError(
-                    f"step {idx + 1} claims height {st.height}, actual {top}"
-                )
-            if not 0 <= st.color < bound:
-                raise ValueError(
-                    f"step {idx + 1} ({st.letter} at height {top}) has color "
-                    f"{st.color}, allowed 0..{bound - 1}"
-                )
-        if h != 0:
-            raise ValueError(f"path ends at height {h}, not 0")
+        check_family(self)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[str, int]]) -> "ColoredMotzkinPath":
@@ -144,13 +117,57 @@ class ColoredMotzkinPath:
         return doubled // 2
 
 
+def check_family(
+    path: ColoredMotzkinPath,
+    down_colors: Callable[[int], int] = standard_down_colors,
+    level_colors: Callable[[int], int] = standard_level_colors,
+    elevated: bool = False,
+) -> None:
+    """Raise ValueError unless :func:`enumerate_paths` with these arguments yields ``path``.
+
+    Checks the letters, the claimed heights, the color of every step against
+    its budget, and that the path never dips below the axis and ends on it;
+    an elevated path is nonempty and its interior stays strictly above 0.
+    """
+    n = len(path.steps)
+    if elevated and n == 0:
+        raise ValueError("the elevated family has no empty path")
+    h = 0
+    for idx, st in enumerate(path.steps):
+        if st.letter == "U":
+            h += 1
+            top = h
+            bound = 1
+        elif st.letter == "D":
+            top = h
+            h -= 1
+            bound = down_colors(top)
+        elif st.letter == "L":
+            top = h
+            bound = level_colors(top)
+        else:
+            raise ValueError(f"bad letter {st.letter!r} at step {idx + 1}")
+        if h < 0:
+            raise ValueError(f"path dips below height 0 at step {idx + 1}")
+        if st.height != top:
+            raise ValueError(
+                f"step {idx + 1} claims height {st.height}, actual {top}"
+            )
+        if not 0 <= st.color < bound:
+            raise ValueError(
+                f"step {idx + 1} ({st.letter} at height {top}) has color "
+                f"{st.color}, allowed 0..{bound - 1}"
+            )
+        if elevated and h == 0 and idx + 1 < n:
+            raise ValueError(f"interior touches the axis at step {idx + 1}")
+    if h != 0:
+        raise ValueError(f"path ends at height {h}, not 0")
+
+
 def perm_to_path(perm: Permutation | Sequence[int]) -> ColoredMotzkinPath:
     """Encode a permutation as a colored Motzkin path."""
-    values = perm.values if isinstance(perm, Permutation) else tuple(perm)
-    entries = classify_entries(values)
-    choices = ray_choices(values)
     pairs: list[tuple[str, int]] = []
-    for (typ, h), choice in zip(entries, choices):
+    for typ, h, choice in diagram_walk(_require_permutation(perm)):
         if typ is DiagonalType.OPEN:
             pairs.append(("U", 0))
         elif typ is DiagonalType.FIXED:
@@ -200,8 +217,9 @@ def enumerate_paths(
 
     ``down_colors(h)`` / ``level_colors(h)`` give the number of colors for a
     down step falling from height h and a level step at height h.  With
-    ``elevated`` the interior of the path must stay strictly above 0 (the
-    length-1 level path is still allowed).
+    ``elevated`` the path is nonempty and its interior stays strictly above 0
+    (the length-1 level path is still allowed).  :func:`check_family` is the
+    matching membership test.
     """
     pairs: list[tuple[str, int]] = []
 
@@ -230,4 +248,5 @@ def enumerate_paths(
 
     if n < 0:
         raise ValueError("path length must be nonnegative")
-    yield from walk(0, 0)
+    if n or not elevated:
+        yield from walk(0, 0)

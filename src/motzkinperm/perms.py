@@ -12,7 +12,7 @@ five types by comparing ``pi(i)`` and ``pi^{-1}(i)`` against ``i``:
 * ``LOWER_BOUNCE``   pi(i) < i and pi^{-1}(i) > i
 
 Reading OPEN as U, CLOSE as D, and the rest as L yields a Motzkin word; the
-ray-choice transcript recorded by :func:`ray_choices` refines the word to a
+ray choices :func:`diagram_walk` records along the way refine the word to a
 colored path (see :mod:`motzkinperm.paths`).
 """
 
@@ -155,10 +155,6 @@ class _DiagramState:
         self.match_v: dict[int, int] = {}
         self.match_h: dict[int, int] = {}
 
-    @property
-    def height(self) -> int:
-        return len(self.verticals)
-
     def open_rays(self, i: int) -> None:
         self.verticals.append(i)
         self.horizontals.append(i)
@@ -201,38 +197,46 @@ class _DiagramState:
         return col, row, completed
 
 
-def ray_choices(values: Sequence[int]) -> tuple[RayChoice | None, ...]:
-    """Transcript of ray choices made along the diagonal walk.
+def diagram_walk(
+    values: Sequence[int],
+) -> Iterator[tuple[DiagonalType, int, RayChoice | None]]:
+    """Replay the diagram along the diagonal: ``(type, height, choice)`` per entry.
 
-    Entry i is None for FIXED and OPEN (no choice), and a :class:`RayChoice`
-    for the closing types.  Replaying the transcript reconstructs the
-    permutation, so it carries exactly the color information of the path.
+    Types and heights are those of :func:`classify_entries`.  ``choice`` is
+    None for FIXED and OPEN (no choice) and a :class:`RayChoice` for the
+    closing types.  The replay is lazy, so a caller can stop at the first
+    entry it rejects.  ``values`` must be a permutation; it is not checked.
     """
     inv = inverse(values)
     state = _DiagramState()
-    out: list[RayChoice | None] = []
-    for i, v in enumerate(values, start=1):
-        iv = inv[i - 1]
-        if v == i:
-            out.append(None)
-        elif v > i and iv > i:
+    for i, (typ, h) in enumerate(classify_entries(values), start=1):
+        choice = None
+        if typ is DiagonalType.OPEN:
             state.open_rays(i)
-            out.append(None)
-        elif v > i:  # upper bounce: close the vertical ray opened at column pi^{-1}(i)
-            j = state.verticals.index(iv) + 1
+        elif typ is DiagonalType.UPPER_BOUNCE:  # the vertical ray from column pi^-1(i)
+            j = state.verticals.index(inv[i - 1]) + 1
             state.upper_bounce(j, i)
-            out.append(RayChoice(j=j))
-        elif iv > i:  # lower bounce: close the horizontal ray opened at row pi(i)
-            k = state.horizontals.index(v) + 1
+            choice = RayChoice(j=j)
+        elif typ is DiagonalType.LOWER_BOUNCE:  # the horizontal ray from row pi(i)
+            k = state.horizontals.index(values[i - 1]) + 1
             state.lower_bounce(k, i)
-            out.append(RayChoice(k=k))
-        else:  # close
-            j = state.verticals.index(iv) + 1
-            k = state.horizontals.index(v) + 1
+            choice = RayChoice(k=k)
+        elif typ is DiagonalType.CLOSE:
+            j = state.verticals.index(inv[i - 1]) + 1
+            k = state.horizontals.index(values[i - 1]) + 1
             ck = state.cycle_k(j)
             _, _, completed = state.close(j, k)
-            out.append(RayChoice(j=j, k=k, completes_cycle=completed, cycle_k=ck))
-    return tuple(out)
+            choice = RayChoice(j=j, k=k, completes_cycle=completed, cycle_k=ck)
+        yield typ, h, choice
+
+
+def ray_choices(values: Sequence[int]) -> tuple[RayChoice | None, ...]:
+    """Transcript of the ray choices :func:`diagram_walk` makes, one per entry.
+
+    Replaying the transcript reconstructs the permutation, so it carries
+    exactly the color information of the path.
+    """
+    return tuple(choice for _, _, choice in diagram_walk(values))
 
 
 @dataclass(frozen=True)
@@ -256,10 +260,18 @@ class StatVector:
         )
 
 
-def _require_permutation(values: Sequence[int]) -> None:
+def _require_permutation(perm: Permutation | Sequence[int]) -> tuple[int, ...]:
+    """One-line values of ``perm``; ValueError unless they rearrange 1..n.
+
+    A :class:`Permutation` was checked when it was built and passes as it is.
+    """
+    if isinstance(perm, Permutation):
+        return perm.values
+    values = tuple(perm)
     n = len(values)
     if sorted(values) != list(range(1, n + 1)):
         raise ValueError(f"not a rearrangement of 1..{n}: {values!r}")
+    return values
 
 
 def stats(values: Sequence[int]) -> StatVector:
@@ -268,12 +280,10 @@ def stats(values: Sequence[int]) -> StatVector:
     >>> stats((5, 7, 2, 4, 3, 8, 1, 6, 9, 12, 10, 11))
     StatVector(fixed_points=2, excedances=4, double_excedances=0, cycles=5, inversions=17)
     """
-    values = tuple(values)
-    _require_permutation(values)
-    return StatVector(*_kernels.stat_tuple(values))
+    return StatVector(*_kernels.stat_tuple(_require_permutation(values)))
 
 
-def foata(values: Sequence[int]) -> tuple[int, ...]:
+def foata(values: Permutation | Sequence[int]) -> tuple[int, ...]:
     """Cycles written minimum-first, sorted by decreasing minimum, concatenated.
 
     This variant of Foata's fundamental transform turns cycle structure into
@@ -283,7 +293,7 @@ def foata(values: Sequence[int]) -> tuple[int, ...]:
     >>> foata((1, 2, 3))
     (3, 2, 1)
     """
-    cycles = cycle_list(values)
+    cycles = cycle_list(_require_permutation(values))
     out: list[int] = []
     for cyc in reversed(cycles):
         out.extend(cyc)
@@ -418,4 +428,5 @@ class Permutation:
         return ray_choices(self.values)
 
     def foata(self) -> "Permutation":
-        return Permutation(foata(self.values))
+        return Permutation(foata(self))
+

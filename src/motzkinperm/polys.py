@@ -27,9 +27,19 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 VARS = ("x", "v", "w", "t", "q")
+
 W = 64
 _MASK = (1 << W) - 1
 _SHIFTS = tuple(W * (4 - i) for i in range(5))
+
+
+def check_marks(marks: Iterable[str]) -> frozenset[str]:
+    """The markers named in ``marks``; ValueError for any name outside VARS."""
+    chosen = frozenset(marks)
+    bad = sorted(chosen - set(VARS))
+    if bad:
+        raise ValueError(f"unknown markers {bad}; valid markers are {list(VARS)}")
+    return chosen
 
 
 def _pack(exps: Iterable[int]) -> tuple[int, int]:

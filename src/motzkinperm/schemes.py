@@ -13,11 +13,10 @@ everything else uses grounded paths.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable
 
 from .cfrac import WeightScheme
-from .polys import VARS, MultiPoly
+from .polys import VARS, MultiPoly, check_marks
 from .subsets import ClassSpec, SubsetId
 
 # Schemes that describe a statistic over all permutations rather than a class.
@@ -62,10 +61,7 @@ def scheme_for(
         if subset_id is SubsetId.ALL:
             chosen = frozenset("xvwt")
     else:
-        chosen = frozenset(marks)
-        bad = sorted(chosen - set(VARS))
-        if bad:
-            raise ValueError(f"unknown markers {bad}; valid markers are {list(VARS)}")
+        chosen = check_marks(marks)
         unsupported = sorted(chosen - supported)
         if unsupported:
             raise ValueError(
@@ -79,19 +75,10 @@ def scheme_for(
         )
 
     xvwtq = tuple(MultiPoly.var(m) if m in chosen else MultiPoly.one() for m in VARS)
-
-    # WeightScheme reads the three level parts separately; build them once per height.
-    @cache
-    def level(h: int) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-        fixed, upper, lower = spec.level(h, *xvwtq)
-        return _poly(fixed), _poly(upper), _poly(lower)
-
     return WeightScheme(
         name,
         down=lambda h: _poly(spec.down(h, *xvwtq)),
-        level_fixed=lambda h: level(h)[0],
-        level_upper=lambda h: level(h)[1],
-        level_lower=lambda h: level(h)[2],
+        level=lambda h: _poly(sum(spec.level(h, *xvwtq))),
         elevated=spec.elevated,
         marks=chosen,
     )

@@ -6,7 +6,7 @@ known, a closed form for its counts; :data:`CLASSES` holds one
 :class:`ClassSpec` per :class:`SubsetId`, and adding a class means adding one
 record there.  The predicates are evaluated directly on the one-line values
 (the noncrossing family is the exception: its definition is a discipline on
-the diagram replay, so it reads the ray-choice transcript).
+the diagram replay, so it reads :func:`motzkinperm.perms.diagram_walk`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from .perms import DiagonalType, classify_entries, cycle_list, ray_choices
+from .perms import DiagonalType, cycle_list, diagram_walk
 from .sequences import (
     bell_numbers,
     catalan_numbers,
@@ -189,9 +189,7 @@ def is_noncrossing(values: Sequence[int]) -> bool:
     closes the two innermost rays and those rays form a chained pair, and no
     UPPER_BOUNCE occurs.
     """
-    entries = classify_entries(values)
-    choices = ray_choices(values)
-    for (typ, h), choice in zip(entries, choices):
+    for typ, h, choice in diagram_walk(values):
         if typ is DiagonalType.UPPER_BOUNCE:
             return False
         if typ is DiagonalType.LOWER_BOUNCE and choice.k != h:

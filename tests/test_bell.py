@@ -20,7 +20,12 @@ from motzkinperm.bell import (
     weak_exc_partition,
 )
 from motzkinperm.oracle import members
-from motzkinperm.paths import ColoredMotzkinPath
+from motzkinperm.paths import (
+    ColoredMotzkinPath,
+    enumerate_paths,
+    standard_down_colors,
+    standard_level_colors,
+)
 from motzkinperm.perms import Permutation
 from motzkinperm.subsets import SubsetId, is_member
 
@@ -77,6 +82,47 @@ def test_family_validators_reject_outsiders():
         validate_block_path(ColoredMotzkinPath.parse("U L2 D0"))
     with pytest.raises(ValueError):
         validate_block_path(ColoredMotzkinPath.parse("U U D2 D0"))  # down color 2 > h-1
+
+
+def _step_lists(n):
+    """Every (letter, color) list of length n whose colors run one past the
+    standard budget at each step's height, dips below the axis included."""
+    budget = {"D": standard_down_colors, "L": standard_level_colors, "U": lambda h: 1}
+
+    def walk(h, pairs):
+        if len(pairs) == n:
+            yield tuple(pairs)
+            return
+        for letter, top, nxt in (("D", h, h - 1), ("L", h, h), ("U", h + 1, h + 1)):
+            for c in range(max(budget[letter](top), 0) + 1):
+                yield from walk(nxt, pairs + [(letter, c)])
+
+    return walk(0, [])
+
+
+@pytest.mark.parametrize(
+    "enumerate_family, validate",
+    [
+        (enumerate_paths, lambda path: None),  # the constructor checks the standard family
+        (enumerate_cycle_paths, validate_cycle_path),
+        (enumerate_block_paths, validate_block_path),
+    ],
+    ids=["standard", "elevated", "grounded"],
+)
+def test_family_validator_accepts_exactly_what_the_enumerator_yields(enumerate_family, validate):
+    for n in range(6):
+        accepted = set()
+        for pairs in _step_lists(n):
+            try:
+                validate(ColoredMotzkinPath.from_pairs(pairs))
+            except ValueError:
+                continue
+            accepted.add(pairs)
+        enumerated = [
+            tuple((st.letter, st.color) for st in path.steps) for path in enumerate_family(n)
+        ]
+        assert len(enumerated) == len(set(enumerated))
+        assert accepted == set(enumerated), n
 
 
 def test_cycle_encoding_round_trips():

@@ -89,9 +89,7 @@ def test_corrupted_scheme_is_caught():
     bad = WeightScheme(
         name=good.name,
         down=lambda h: good.down(h) + one,
-        level_fixed=good.level_fixed,
-        level_upper=good.level_upper,
-        level_lower=good.level_lower,
+        level=good.level,
         elevated=good.elevated,
         marks=good.marks,
     )

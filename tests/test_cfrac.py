@@ -69,16 +69,6 @@ def test_single_cycle_slice_of_the_full_series():
         assert full[n].coefficient_of("t", 1) == cyclic[n]
 
 
-def test_weight_scheme_level_splits_into_three_roles():
-    scheme = scheme_for(SubsetId.ALL, marks="xvwt")
-    for h in range(4):
-        combined = scheme.level(h)
-        parts = (
-            scheme.level_fixed(h) + scheme.level_upper(h) + scheme.level_lower(h)
-        )
-        assert combined == parts
-
-
 def test_weight_scheme_counts_are_value_at_ones():
     scheme = scheme_for(SubsetId.ALL, marks="xvwt")
     assert scheme.counts(6) == factorials(6)
@@ -96,9 +86,7 @@ def test_handbuilt_scheme_runs_elevated():
     scheme = WeightScheme(
         name="unit-elevated",
         down=lambda h: one,
-        level_fixed=lambda h: one,
-        level_upper=lambda h: MultiPoly.zero(),
-        level_lower=lambda h: MultiPoly.zero(),
+        level=lambda h: one,
         elevated=True,
     )
     counts = [c.value_at_ones() for c in scheme.series(6)]

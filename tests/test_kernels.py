@@ -9,7 +9,7 @@ from collections import Counter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkinperm._kernels import census_stats, pure, stat_tuple
+from motzkinperm._kernels import census_stats, stat_tuple
 
 from conftest import all_perms
 
@@ -38,7 +38,7 @@ def naive_stat_tuple(values):
 def test_pure_matches_definitions_exhaustively():
     for n in range(7):
         for perm in all_perms(n):
-            assert pure.stat_tuple(perm) == naive_stat_tuple(perm)
+            assert stat_tuple(perm) == naive_stat_tuple(perm)
 
 
 @settings(deadline=None, max_examples=150)
@@ -62,6 +62,6 @@ def test_census_agrees_with_per_perm_tally():
     for n in range(7):
         tally: dict[tuple[int, ...], int] = {}
         for perm in all_perms(n):
-            key = pure.stat_tuple(perm)
+            key = stat_tuple(perm)
             tally[key] = tally.get(key, 0) + 1
         assert census_stats(n) == tally

@@ -8,6 +8,8 @@ import math
 import pytest
 
 import motzkinperm.perms
+from motzkinperm.bell import cycle_to_path, weak_exc_partition
+from motzkinperm.paths import perm_to_path
 from motzkinperm.perms import (
     DiagonalType,
     Permutation,
@@ -142,6 +144,21 @@ def test_stats_on_known_permutation():
 def test_stats_rejects_a_non_permutation(values):
     with pytest.raises(ValueError, match="not a rearrangement"):
         stats(values)
+
+
+@pytest.mark.parametrize(
+    "entry_point, values",
+    [
+        (perm_to_path, (3, 1)),
+        (perm_to_path, (2, 2)),
+        (foata, (2, 2)),
+        (weak_exc_partition, (1, 1)),
+        (cycle_to_path, (2, 2)),
+    ],
+)
+def test_entry_points_reject_a_non_permutation(entry_point, values):
+    with pytest.raises(ValueError, match="not a rearrangement"):
+        entry_point(values)
 
 
 def test_foata_is_a_bijection_preserving_the_transported_statistics():
