@@ -1,26 +1,28 @@
-"""The statistic kernels behind every exhaustive census.
+"""The statistic kernels behind every exhaustive census, in pure Python.
 
-These two pure-Python functions are the inner loop of every exhaustive
-census in the package.  ``BACKEND`` names the kernel that runs; the
-benchmark probe reads it.
+:func:`stat_tuple` reads one permutation in O(n), counting inversions with a
+double loop below ``FENWICK_CUTOFF`` entries, where that is no slower, and
+with a Fenwick tree in O(n log n) from there on.  It assumes a valid
+permutation; :func:`motzkinperm.perms.stats` is the checked entry point.
+:func:`census_stats` walks the one-line prefixes of S_n depth first (Knuth,
+TAOCP 4A, 7.2.1.2), updating all five statistics in O(1) per placed entry.
+``BACKEND`` names the kernel that runs; the benchmark probe reads it.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 BACKEND = "pure"
+FENWICK_CUTOFF = 20  # the two inversion counts cost about the same near here
 
 
 def stat_tuple(values):
-    """Statistics of a permutation in one-line notation (1-based tuple).
-
-    Returns ``(fixed, exc, dexc, cyc, inv)``: fixed points, excedances
-    (pi(i) > i), double excedances (i < pi(i) < pi(pi(i))), cycles, and
-    inversions.
-    """
+    """``(fixed, exc, dexc, cyc, inv)`` of a permutation in one-line notation:
+    fixed points, excedances (pi(i) > i), double excedances (i < pi(i) <
+    pi(pi(i))), cycles and inversions."""
     n = len(values)
-    fixed = exc = dexc = inv = 0
+    fixed = exc = dexc = cyc = inv = 0
+    quadratic_end = n if n < FENWICK_CUTOFF else 0
+    seen = bytearray(n)
     for i in range(n):
         v = values[i]
         if v == i + 1:
@@ -29,28 +31,66 @@ def stat_tuple(values):
             exc += 1
             if values[v - 1] > v:
                 dexc += 1
-        for j in range(i + 1, n):
+        for j in range(i + 1, quadratic_end):
             if v > values[j]:
                 inv += 1
-    cyc = 0
-    seen = bytearray(n)
-    for i in range(n):
         if not seen[i]:
             cyc += 1
             j = i
             while not seen[j]:
                 seen[j] = 1
                 j = values[j] - 1
+    if n >= FENWICK_CUTOFF:
+        # earlier values above v: all earlier ones minus the tree's count of those <= v
+        tree = [0] * (n + 1)
+        for seen_before, v in enumerate(values):
+            inv += seen_before
+            j = v
+            while j:
+                inv -= tree[j]
+                j &= j - 1
+            j = v
+            while j <= n:
+                tree[j] += 1
+                j += j & -j
     return (fixed, exc, dexc, cyc, inv)
 
 
 def census_stats(n):
-    """Aggregate ``stat_tuple`` over all of S_n: {stat tuple: multiplicity}."""
-    counts: dict[tuple, int] = {}
-    for p in permutations(range(1, n + 1)):
-        key = stat_tuple(p)
-        if key in counts:
-            counts[key] += 1
-        else:
-            counts[key] = 1
-    return counts
+    """Tally :func:`stat_tuple` over all of S_n: {stat tuple: multiplicity}.
+
+    Position i takes each unused value v in turn: a fixed point if v = i, an
+    excedance if v > i, a double excedance j < i < v if i is already some
+    earlier pi(j), and one inversion per unused value below v.  Placed entries
+    form chains (``head``: tail -> head, ``tail``: head -> tail); i -> v closes
+    a cycle if v heads the chain ending at i, else joins the two chains.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    width = max(n * (n - 1) // 2, n, 1).bit_length()  # bits per count in the packed key
+    exc_one, dexc_one, cyc_one, inv_shift = 1 << width, 1 << 2 * width, 1 << 3 * width, 4 * width
+    head, tail = list(range(n + 1)), list(range(n + 1))
+    counts: dict[int, int] = {} if n else {0: 1}
+
+    def walk(i, unused, key):
+        if i == n:  # the last value left closes the last cycle
+            key += cyc_one + (unused[0] == n)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        h = head[i]
+        above = exc_one + dexc_one if h != i else exc_one
+        for k, v in enumerate(unused):
+            step = key + (k << inv_shift) + (above if v > i else (v == i))
+            if v == h:
+                walk(i + 1, unused[:k] + unused[k + 1 :], step + cyc_one)
+            else:
+                t = tail[v]
+                head[t], tail[h] = h, t
+                walk(i + 1, unused[:k] + unused[k + 1 :], step)
+                head[t], tail[h] = v, i
+
+    if n:
+        walk(1, list(range(1, n + 1)), 0)
+    mask = (1 << width) - 1
+    return {tuple(key >> s & mask for s in range(0, inv_shift, width)) + (key >> inv_shift,): count
+            for key, count in counts.items()}

@@ -147,7 +147,6 @@ def cycle_to_path(perm: Permutation | Sequence[int]) -> ColoredMotzkinPath:
             "input must be a single cycle whose excedance values increase "
             "left to right"
         )
-    n = len(values)
     pairs: list[tuple[str, int]] = []
     for i, (typ, h, choice) in enumerate(diagram_walk(values), start=1):
         if typ is DiagonalType.OPEN:
@@ -161,8 +160,8 @@ def cycle_to_path(perm: Permutation | Sequence[int]) -> ColoredMotzkinPath:
         elif typ is DiagonalType.LOWER_BOUNCE:
             pairs.append(("L", choice.k - 1))
         else:
-            if choice.completes_cycle:
-                if i != n:
+            if choice.k == choice.cycle_k:
+                if i != len(values):
                     raise AssertionError("cycle closed before the final step")
                 pairs.append(("D", 0))
             else:
@@ -170,9 +169,7 @@ def cycle_to_path(perm: Permutation | Sequence[int]) -> ColoredMotzkinPath:
                     raise AssertionError("interior close off the oldest ray expected")
                 r = choice.k - 1 - (1 if choice.k > choice.cycle_k else 0)
                 pairs.append(("D", r))
-    path = ColoredMotzkinPath.from_pairs(pairs)
-    validate_cycle_path(path)
-    return path
+    return ColoredMotzkinPath.from_pairs(pairs)
 
 
 def path_to_cycle(path: ColoredMotzkinPath) -> Permutation:
@@ -238,9 +235,7 @@ def shorten_path(path: ColoredMotzkinPath) -> ColoredMotzkinPath:
     else:
         pairs = [("L", 0)]
         pairs.extend((st.letter, st.color) for st in steps[1:-1])
-    out = ColoredMotzkinPath.from_pairs(pairs)
-    validate_block_path(out)
-    return out
+    return ColoredMotzkinPath.from_pairs(pairs)
 
 
 def lengthen_path(path: ColoredMotzkinPath) -> ColoredMotzkinPath:
@@ -270,9 +265,7 @@ def lengthen_path(path: ColoredMotzkinPath) -> ColoredMotzkinPath:
         pairs.append(("L", steps[cut].height))
         pairs.extend((st.letter, st.color) for st in steps[cut + 1 :])
         pairs.append(("D", 0))
-    out = ColoredMotzkinPath.from_pairs(pairs)
-    validate_cycle_path(out)
-    return out
+    return ColoredMotzkinPath.from_pairs(pairs)
 
 
 # -- grounded paths -> set partitions ----------------------------------------

@@ -127,14 +127,13 @@ class RayChoice:
 
     ``j`` indexes open vertical rays left to right, ``k`` open horizontal rays
     bottom to top, both 1-based at the moment the entry is placed.  For a
-    CLOSE, ``completes_cycle`` says whether the two closed rays were chained
-    to each other, and ``cycle_k`` is the k that would have completed a cycle
-    given the closed vertical ray.  Fields that do not apply are None.
+    CLOSE, ``cycle_k`` is the k that completes a cycle given the closed
+    vertical ray, so the close completes one exactly when ``k == cycle_k``.
+    Fields that do not apply are None.
     """
 
     j: int | None = None
     k: int | None = None
-    completes_cycle: bool | None = None
     cycle_k: int | None = None
 
 
@@ -224,19 +223,9 @@ def diagram_walk(
         elif typ is DiagonalType.CLOSE:
             j = state.verticals.index(inv[i - 1]) + 1
             k = state.horizontals.index(values[i - 1]) + 1
-            ck = state.cycle_k(j)
-            _, _, completed = state.close(j, k)
-            choice = RayChoice(j=j, k=k, completes_cycle=completed, cycle_k=ck)
+            choice = RayChoice(j=j, k=k, cycle_k=state.cycle_k(j))
+            state.close(j, k)
         yield typ, h, choice
-
-
-def ray_choices(values: Sequence[int]) -> tuple[RayChoice | None, ...]:
-    """Transcript of the ray choices :func:`diagram_walk` makes, one per entry.
-
-    Replaying the transcript reconstructs the permutation, so it carries
-    exactly the color information of the path.
-    """
-    return tuple(choice for _, _, choice in diagram_walk(values))
 
 
 @dataclass(frozen=True)
@@ -423,9 +412,6 @@ class Permutation:
 
     def diagonal(self) -> DiagonalSequence:
         return DiagonalSequence(classify_entries(self.values))
-
-    def ray_choices(self) -> tuple[RayChoice | None, ...]:
-        return ray_choices(self.values)
 
     def foata(self) -> "Permutation":
         return Permutation(foata(self))

@@ -194,9 +194,8 @@ def is_noncrossing(values: Sequence[int]) -> bool:
             return False
         if typ is DiagonalType.LOWER_BOUNCE and choice.k != h:
             return False
-        if typ is DiagonalType.CLOSE:
-            if choice.j != h or choice.k != h or not choice.completes_cycle:
-                return False
+        if typ is DiagonalType.CLOSE and not choice.j == choice.k == choice.cycle_k == h:
+            return False
     return True
 
 

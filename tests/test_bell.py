@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import motzkinperm.bell
+import motzkinperm.paths
 from motzkinperm.bell import (
     SetPartition,
     block_path_to_partition,
@@ -22,6 +24,7 @@ from motzkinperm.bell import (
 from motzkinperm.oracle import members
 from motzkinperm.paths import (
     ColoredMotzkinPath,
+    check_family,
     enumerate_paths,
     standard_down_colors,
     standard_level_colors,
@@ -163,6 +166,21 @@ def test_surgery_shortens_by_one_and_inverts():
     for n in range(7):
         for path in enumerate_block_paths(n):
             assert shorten_path(lengthen_path(path)).to_text() == path.to_text()
+
+
+def test_pipeline_checks_each_path_once(monkeypatch):
+    # one family check per constructed path and one on entry to each decoder;
+    # the encoders do not re-validate their own output
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return check_family(*args, **kwargs)
+
+    monkeypatch.setattr(motzkinperm.paths, "check_family", counting)
+    monkeypatch.setattr(motzkinperm.bell, "check_family", counting)
+    assert cycle_to_partition((2, 3, 4, 5, 1)) == SetPartition.of([[1, 4], [2], [3]])
+    assert len(calls) == 4
 
 
 def test_surgery_case_split_is_clean():

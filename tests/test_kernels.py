@@ -6,10 +6,11 @@ import itertools
 import math
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkinperm._kernels import census_stats, stat_tuple
+from motzkinperm._kernels import FENWICK_CUTOFF, census_stats, stat_tuple
 
 from conftest import all_perms
 
@@ -42,13 +43,20 @@ def test_pure_matches_definitions_exhaustively():
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.integers(0, 100).flatmap(lambda n: st.permutations(range(1, n + 1))))
-@example(tuple(range(63, 0, -1)))
-@example(tuple(range(2, 65)) + (1,))
-@example(tuple(range(65, 0, -1)))
+@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@example(tuple(range(FENWICK_CUTOFF - 1, 0, -1)))
+@example(tuple(range(2, FENWICK_CUTOFF + 1)) + (1,))
+@example(tuple(range(FENWICK_CUTOFF + 1, 0, -1)))
 @example(tuple(range(46, 91)) + tuple(range(1, 46)))
 def test_stat_tuple_matches_definitions_on_large_permutations(perm):
     assert stat_tuple(tuple(perm)) == naive_stat_tuple(perm)
+
+
+def test_stat_tuple_on_the_reversed_identity():
+    # n..1 swaps i and n+1-i: for even n that is n/2 two-cycles with one
+    # excedance each and no fixed point, and every pair of entries inverts.
+    n = 5000
+    assert stat_tuple(tuple(range(n, 0, -1))) == (0, n // 2, 0, n // 2, n * (n - 1) // 2)
 
 
 def test_census_matches_pure_and_sums_to_factorial():
@@ -59,9 +67,11 @@ def test_census_matches_pure_and_sums_to_factorial():
 
 
 def test_census_agrees_with_per_perm_tally():
-    for n in range(7):
-        tally: dict[tuple[int, ...], int] = {}
-        for perm in all_perms(n):
-            key = stat_tuple(perm)
-            tally[key] = tally.get(key, 0) + 1
-        assert census_stats(n) == tally
+    for n in range(9):
+        assert census_stats(n) == Counter(stat_tuple(perm) for perm in all_perms(n))
+
+
+def test_census_of_the_empty_permutation_and_negative_sizes():
+    assert census_stats(0) == {(0, 0, 0, 0, 0): 1}
+    with pytest.raises(ValueError):
+        census_stats(-1)

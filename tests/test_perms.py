@@ -21,11 +21,11 @@ from motzkinperm.perms import (
     count_consecutive_123,
     cycle_list,
     cyclic_permutations,
+    diagram_walk,
     foata,
     inverse,
     left_to_right_minima,
     random_permutation,
-    ray_choices,
     stats,
 )
 from motzkinperm.subsets import avoids_321
@@ -108,11 +108,10 @@ def test_type_counts_recover_the_statistics():
 
 
 def test_ray_choices_bounds_and_cycle_count():
-    for n in range(8):
-        for perm in all_perms(min(n, 6)):
-            choices = ray_choices(perm)
+    for n in range(7):
+        for perm in all_perms(n):
             completing = 0
-            for (typ, height), choice in zip(classify_entries(perm), choices):
+            for typ, height, choice in diagram_walk(perm):
                 if typ in (DiagonalType.FIXED, DiagonalType.OPEN):
                     assert choice is None
                 elif typ is DiagonalType.UPPER_BOUNCE:
@@ -123,8 +122,7 @@ def test_ray_choices_bounds_and_cycle_count():
                     assert 1 <= choice.j <= height
                     assert 1 <= choice.k <= height
                     assert 1 <= choice.cycle_k <= height
-                    assert choice.completes_cycle == (choice.k == choice.cycle_k)
-                    completing += choice.completes_cycle
+                    completing += choice.k == choice.cycle_k
             s = stats(perm)
             assert completing + s.fixed_points == s.cycles
 
