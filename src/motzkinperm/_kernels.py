@@ -1,9 +1,9 @@
 """The statistic kernels behind every exhaustive census, in pure Python.
 
-:func:`stat_tuple` reads one permutation in O(n), counting inversions with a
-double loop below ``FENWICK_CUTOFF`` entries, where that is no slower, and
-with a Fenwick tree in O(n log n) from there on.  It assumes a valid
-permutation; :func:`motzkinperm.perms.stats` is the checked entry point.
+:func:`stat_tuple` reads one permutation in O(n log n): one pass for fixed
+points, excedances, double excedances and cycles, with a Fenwick tree
+counting inversions.  It assumes a valid permutation;
+:func:`motzkinperm.perms.stats` is the checked entry point.
 :func:`census_stats` walks the one-line prefixes of S_n depth first (Knuth,
 TAOCP 4A, 7.2.1.2), updating all five statistics in O(1) per placed entry.
 ``BACKEND`` names the kernel that runs; the benchmark probe reads it.
@@ -12,7 +12,6 @@ TAOCP 4A, 7.2.1.2), updating all five statistics in O(1) per placed entry.
 from __future__ import annotations
 
 BACKEND = "pure"
-FENWICK_CUTOFF = 20  # the two inversion counts cost about the same near here
 
 
 def stat_tuple(values):
@@ -21,8 +20,8 @@ def stat_tuple(values):
     pi(pi(i))), cycles and inversions."""
     n = len(values)
     fixed = exc = dexc = cyc = inv = 0
-    quadratic_end = n if n < FENWICK_CUTOFF else 0
     seen = bytearray(n)
+    tree = [0] * (n + 1)
     for i in range(n):
         v = values[i]
         if v == i + 1:
@@ -31,28 +30,22 @@ def stat_tuple(values):
             exc += 1
             if values[v - 1] > v:
                 dexc += 1
-        for j in range(i + 1, quadratic_end):
-            if v > values[j]:
-                inv += 1
         if not seen[i]:
             cyc += 1
             j = i
             while not seen[j]:
                 seen[j] = 1
                 j = values[j] - 1
-    if n >= FENWICK_CUTOFF:
-        # earlier values above v: all earlier ones minus the tree's count of those <= v
-        tree = [0] * (n + 1)
-        for seen_before, v in enumerate(values):
-            inv += seen_before
-            j = v
-            while j:
-                inv -= tree[j]
-                j &= j - 1
-            j = v
-            while j <= n:
-                tree[j] += 1
-                j += j & -j
+        # earlier values above v: all i earlier ones minus the tree's count of those <= v
+        inv += i
+        j = v
+        while j:
+            inv -= tree[j]
+            j &= j - 1
+        j = v
+        while j <= n:
+            tree[j] += 1
+            j += j & -j
     return (fixed, exc, dexc, cyc, inv)
 
 
@@ -67,30 +60,30 @@ def census_stats(n):
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    width = max(n * (n - 1) // 2, n, 1).bit_length()  # bits per count in the packed key
-    exc_one, dexc_one, cyc_one, inv_shift = 1 << width, 1 << 2 * width, 1 << 3 * width, 4 * width
     head, tail = list(range(n + 1)), list(range(n + 1))
-    counts: dict[int, int] = {} if n else {0: 1}
+    counts: dict[tuple[int, int, int, int, int], int] = {} if n else {(0, 0, 0, 0, 0): 1}
 
-    def walk(i, unused, key):
+    def walk(i, unused, fixed, exc, dexc, cyc, inv):
         if i == n:  # the last value left closes the last cycle
-            key += cyc_one + (unused[0] == n)
+            key = (fixed + (unused[0] == n), exc, dexc, cyc + 1, inv)
             counts[key] = counts.get(key, 0) + 1
             return
         h = head[i]
-        above = exc_one + dexc_one if h != i else exc_one
+        dexc_above = dexc + (h != i)
         for k, v in enumerate(unused):
-            step = key + (k << inv_shift) + (above if v > i else (v == i))
+            rest = unused[:k] + unused[k + 1 :]
+            if v > i:
+                f, e, d = fixed, exc + 1, dexc_above
+            else:
+                f, e, d = fixed + (v == i), exc, dexc
             if v == h:
-                walk(i + 1, unused[:k] + unused[k + 1 :], step + cyc_one)
+                walk(i + 1, rest, f, e, d, cyc + 1, inv + k)
             else:
                 t = tail[v]
                 head[t], tail[h] = h, t
-                walk(i + 1, unused[:k] + unused[k + 1 :], step)
+                walk(i + 1, rest, f, e, d, cyc, inv + k)
                 head[t], tail[h] = v, i
 
     if n:
-        walk(1, list(range(1, n + 1)), 0)
-    mask = (1 << width) - 1
-    return {tuple(key >> s & mask for s in range(0, inv_shift, width)) + (key >> inv_shift,): count
-            for key, count in counts.items()}
+        walk(1, list(range(1, n + 1)), 0, 0, 0, 0, 0)
+    return counts

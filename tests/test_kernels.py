@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkinperm._kernels import FENWICK_CUTOFF, census_stats, stat_tuple
+from motzkinperm._kernels import census_stats, stat_tuple
 
 from conftest import all_perms
 
@@ -44,9 +44,13 @@ def test_pure_matches_definitions_exhaustively():
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
-@example(tuple(range(FENWICK_CUTOFF - 1, 0, -1)))
-@example(tuple(range(2, FENWICK_CUTOFF + 1)) + (1,))
-@example(tuple(range(FENWICK_CUTOFF + 1, 0, -1)))
+# sizes on each side of a power of two reach the Fenwick tree's top node
+@example(tuple(range(15, 0, -1)))
+@example(tuple(range(2, 17)) + (1,))
+@example(tuple(range(17, 0, -1)))
+@example(tuple(range(63, 0, -1)))
+@example(tuple(range(2, 65)) + (1,))
+@example(tuple(range(65, 0, -1)))
 @example(tuple(range(46, 91)) + tuple(range(1, 46)))
 def test_stat_tuple_matches_definitions_on_large_permutations(perm):
     assert stat_tuple(tuple(perm)) == naive_stat_tuple(perm)
