@@ -36,7 +36,6 @@ from .perms import DiagonalSequence, DiagonalType, Permutation, StatVector, foat
 from .polys import MultiPoly
 from .schemes import scheme_for, scheme_names
 from .sequences import closed_form_counts
-from .series import Series
 from .subsets import SubsetId, is_member
 
 __version__ = "0.1.0"
@@ -85,7 +84,6 @@ __all__ = [
     "scheme_for",
     "scheme_names",
     "closed_form_counts",
-    "Series",
     "SubsetId",
     "is_member",
     "__version__",

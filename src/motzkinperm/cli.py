@@ -52,9 +52,12 @@ def _is_term(t: object) -> bool:
 def _write_json(o: object, ind: str, out: list[str]) -> None:
     """Append the text of ``json.dumps(o, indent=2)``, nested at indent ``ind``.
 
-    Dict keys must be str.  A list of polynomial terms is written in one join.
+    Dict keys must be str.  A plain int is written with ``int.__repr__``, as
+    json does.  A list of polynomial terms is written in one join.
     """
-    if isinstance(o, str):
+    if type(o) is int:
+        out.append(int.__repr__(o))
+    elif isinstance(o, str):
         out.append(_json_str(o))
     elif o is None or isinstance(o, (int, float)):
         out.append(json.dumps(o))

@@ -1,21 +1,20 @@
 """Reference integer sequences and closed-form generating functions.
 
 These serve as independent cross-checks for the census machinery: classical
-recurrences and binomial formulas on one side, series built from exponentials
-and square roots on the other.  A few sequences have no handy closed form and
-are produced by running their classical continued-fraction weights forward;
-those are pinned against hard-coded prefixes so a defect in the evaluator
-cannot silently vandalize both sides of a test.
+recurrences and binomial formulas, and exact int recurrences read off the
+functional equation of each class's generating function.  A few sequences
+have no handy closed form and are produced by running their classical
+continued-fraction weights forward; those are pinned against hard-coded
+prefixes so a defect in the evaluator cannot silently vandalize both sides
+of a test.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import TYPE_CHECKING
 
 from .cfrac import MAX_ORDER, jfraction_series
-from .series import Series
 
 if TYPE_CHECKING:
     from .subsets import SubsetId
@@ -39,15 +38,13 @@ def bell_numbers(n_max: int) -> list[int]:
 def baxter_numbers(n_max: int) -> list[int]:
     out = [1]
     for n in range(1, n_max + 1):
-        total = Fraction(0)
-        denom = comb(n + 1, 1) * comb(n + 1, 2)
-        for k in range(1, n + 1):
-            total += Fraction(
-                comb(n + 1, k - 1) * comb(n + 1, k) * comb(n + 1, k + 1), denom
-            )
-        if total.denominator != 1:
+        total = sum(
+            comb(n + 1, k - 1) * comb(n + 1, k) * comb(n + 1, k + 1) for k in range(1, n + 1)
+        )
+        value, rest = divmod(total, comb(n + 1, 1) * comb(n + 1, 2))
+        if rest:
             raise AssertionError(f"non-integer Baxter value at n={n}")
-        out.append(int(total))
+        out.append(value)
     return out
 
 
@@ -95,58 +92,66 @@ def consecutive_123_avoider_counts(n_max: int) -> list[int]:
     )
 
 
-# -- closed-form generating functions (exact, over Fraction) ---------------
-
-
-def _poly(order: int, *low: int) -> Series:
-    """low[0] + low[1] z + ..., truncated past z**order."""
-    coeffs = [Fraction(c) for c in low[: order + 1]]
-    return Series(tuple(coeffs + [Fraction(0)] * (order + 1 - len(coeffs))))
+# -- closed-form generating functions (exact int recurrences) --------------
 
 
 def egf_no_double_step_counts(n_max: int) -> list[int]:
-    """Coefficients of exp(z)/cos(z), as plain counts."""
-    cos = [Fraction(0)] * (n_max + 1)
-    for k in range(0, n_max + 1, 2):
-        cos[k] = Fraction((-1) ** (k // 2), factorial(k))
-    egf = _poly(n_max, 0, 1).exp() * Series(tuple(cos)).recip()
-    return egf.egf_to_ogf().integer_coefficients()
+    """Coefficients of A = exp(z)/cos(z), as plain counts.
+
+    A cos z = e^z gives a(n) = 1 - sum_{k>=1} (-1)^k C(n, 2k) a(n - 2k).
+    """
+    out: list[int] = []
+    for n in range(n_max + 1):
+        alt = sum((-1) ** k * comb(n, 2 * k) * out[n - 2 * k] for k in range(1, n // 2 + 1))
+        out.append(1 - alt)
+    return out
 
 
 def egf_involution_counts(n_max: int) -> list[int]:
-    """Coefficients of exp(z + z^2/2), as plain counts."""
-    z = _poly(n_max, 0, 1)
-    half_sq = (z * z).scale(Fraction(1, 2))
-    return (z + half_sq).exp().egf_to_ogf().integer_coefficients()
+    """Coefficients of A = exp(z + z^2/2), as plain counts.
+
+    A' = (1 + z) A gives a(n + 1) = a(n) + n a(n - 1).
+    """
+    out = [1, 1][: n_max + 1]
+    for n in range(1, n_max):
+        out.append(out[n] + n * out[n - 1])
+    return out
 
 
 def egf_unimodal_cycle_counts(n_max: int) -> list[int]:
-    """Coefficients of exp((exp(2z) + 2z - 1)/4), as plain counts."""
-    z = _poly(n_max, 0, 1)
-    e2z = z.scale(2).exp()
-    inner = (e2z + z.scale(2) - _poly(n_max, 1)).scale(Fraction(1, 4))
-    return inner.exp().egf_to_ogf().integer_coefficients()
+    """Coefficients of A = exp(C), C = (exp(2z) + 2z - 1)/4, as plain counts.
+
+    C has c(1) = 1 and c(k) = 2^(k-2) for k >= 2, and A' = C' A gives
+    a(n + 1) = sum_k C(n, k) c(k + 1) a(n - k).
+    """
+    c = [0, 1] + [2 ** (k - 2) for k in range(2, n_max + 1)]
+    out = [1]
+    for n in range(n_max):
+        out.append(sum(comb(n, k) * c[k + 1] * out[n - k] for k in range(n + 1)))
+    return out
 
 
 def ogf_increasing_exc_def_counts(n_max: int) -> list[int]:
-    """Coefficients of 2 / (1 + z + sqrt(1 - 6z + 5z^2))."""
-    root = _poly(n_max, 1, -6, 5).sqrt()
-    denom = _poly(n_max, 1, 1) + root
-    return denom.recip().scale(2).integer_coefficients()
+    """Coefficients of G = 2 / (1 + z + sqrt(1 - 6z + 5z^2)).
 
-
-def ogf_catalan_counts(n_max: int) -> list[int]:
-    """Coefficients of 2 / (1 + sqrt(1 - 4z)); equals the Catalan numbers."""
-    root = _poly(n_max, 1, -4).sqrt()
-    return (_poly(n_max, 1) + root).recip().scale(2).integer_coefficients()
+    G solves G = 1 - z G + (2z - z^2) G^2; ``sq`` carries the coefficients
+    of G^2 alongside those of G.
+    """
+    out, sq = [1], [1]
+    for n in range(1, n_max + 1):
+        out.append(2 * sq[n - 1] - out[n - 1] - (sq[n - 2] if n > 1 else 0))
+        sq.append(sum(out[i] * out[n - i] for i in range(n + 1)))
+    return out
 
 
 def closed_form_counts(subset: SubsetId, n_max: int) -> list[int] | None:
     """Known count formula for a class, or None where no product form exists.
 
-    Sizes share the continued fraction's cap: the exact ``Fraction`` series
-    cost about n_max**3.
+    Sizes share the continued fraction's cap, so that every census source
+    stops at the same order.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if n_max > MAX_ORDER:
         raise ValueError(f"size {n_max} is over the cap of {MAX_ORDER}; cost grows steeply")
     closed = subset.spec.closed

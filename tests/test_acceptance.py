@@ -41,6 +41,7 @@ from motzkinperm.bell import (
     set_partitions,
     shorten_path,
 )
+from motzkinperm.cfrac import MAX_ORDER
 from motzkinperm.invert import RecoveryStatus, classify_weights, invert_jfraction
 from motzkinperm.mobius import FAMILIES, brute_count, mobius_count
 from motzkinperm.oracle import (
@@ -179,10 +180,10 @@ def test_04_rising_run_statistic_transports_and_counts_avoiders():
     print("PASS 04: rising-run statistic transports and counts run-free case")
 
 
-def test_05_class_counts_agree_across_all_three_sources():
-    n_max = 8
-    order = n_max
-
+def _generating_function_counts(order: int) -> dict[SubsetId, list[int]]:
+    """Counts of the classes whose closed forms are exp(z)/cos z,
+    exp(z + z^2/2), exp((e^{2z} + 2z - 1)/4) and 2/(1 + z + sqrt(1 - 6z + 5z^2)),
+    by series arithmetic over Fraction up to z**order (order >= 2)."""
     cos_z = [
         Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
         for k in range(order + 1)
@@ -212,6 +213,17 @@ def test_05_class_counts_agree_across_all_three_sources():
     for c in _recip(half_denominator):
         assert c.denominator == 1
         two_term.append(int(c))
+    return {
+        SubsetId.UNIMODAL_CYCLES: unimodal,
+        SubsetId.INCREASING_EXC_AND_DEF: two_term,
+        SubsetId.UNIMODAL_NONCROSSING: two_term,
+        SubsetId.NO_DOUBLE_EXC_OR_DEF: no_double,
+        SubsetId.INVOLUTIONS: involutions,
+    }
+
+
+def test_05_class_counts_agree_across_all_three_sources():
+    n_max = 8
 
     fact = [math.factorial(n) for n in range(n_max + 1)]
     catalan = [math.comb(2 * n, n) // (n + 1) for n in range(n_max + 1)]
@@ -224,11 +236,7 @@ def test_05_class_counts_agree_across_all_three_sources():
         SubsetId.NONCROSSING: catalan,
         SubsetId.INCREASING_WEAK_EXC: bells,
         SubsetId.CYCLIC_INCREASING_EXC: [0] + bells[: n_max],
-        SubsetId.UNIMODAL_CYCLES: unimodal,
-        SubsetId.INCREASING_EXC_AND_DEF: two_term,
-        SubsetId.UNIMODAL_NONCROSSING: two_term,
-        SubsetId.NO_DOUBLE_EXC_OR_DEF: no_double,
-        SubsetId.INVOLUTIONS: involutions,
+        **_generating_function_counts(n_max),
         SubsetId.INVOLUTIONS321: [math.comb(n, n // 2) for n in range(n_max + 1)],
     }
 
@@ -247,6 +255,12 @@ def test_05_class_counts_agree_across_all_three_sources():
         else:
             assert catalogue is None, subset
     print("PASS 05: enumeration, fraction, and formula agree for every class, n <= 8")
+
+
+def test_05b_recurrence_closed_forms_match_series_arithmetic_up_to_the_cap():
+    for subset, want in _generating_function_counts(MAX_ORDER).items():
+        assert closed_form_counts(subset, MAX_ORDER) == want, subset
+    print(f"PASS 05b: the closed-form recurrences match series arithmetic, n <= {MAX_ORDER}")
 
 
 def test_06_cycle_class_bijects_onto_smaller_set_partitions():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from motzkinperm.bell import set_partitions
 from motzkinperm.sequences import (
     baxter_numbers,
@@ -17,7 +19,6 @@ from motzkinperm.sequences import (
     factorials,
     genocchi_numbers,
     median_genocchi_numbers,
-    ogf_catalan_counts,
     ogf_increasing_exc_def_counts,
 )
 from motzkinperm.subsets import SubsetId
@@ -42,7 +43,6 @@ def test_factorials():
 
 def test_catalan():
     assert catalan_numbers(8) == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
-    assert ogf_catalan_counts(8) == catalan_numbers(8)
 
 
 def test_motzkin():
@@ -141,6 +141,12 @@ def test_closed_form_catalogue():
     ]
     assert closed_form_counts(SubsetId.INCREASING_EXC, 6) is None
     assert closed_form_counts(SubsetId.UNIMODAL_CYCLES_INCREASING_EXC, 6) is None
+
+
+@pytest.mark.parametrize("subset", list(SubsetId), ids=lambda s: s.value)
+def test_closed_form_refuses_a_negative_size(subset):
+    with pytest.raises(ValueError, match="nonnegative"):
+        closed_form_counts(subset, -1)
 
 
 def test_zero_length_prefixes():
