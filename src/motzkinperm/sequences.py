@@ -153,6 +153,6 @@ def closed_form_counts(subset: SubsetId, n_max: int) -> list[int] | None:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > MAX_ORDER:
-        raise ValueError(f"size {n_max} is over the cap of {MAX_ORDER}; cost grows steeply")
+        raise ValueError(f"size {n_max} is over the census cap of {MAX_ORDER}")
     closed = subset.spec.closed
     return None if closed is None else closed(n_max)
