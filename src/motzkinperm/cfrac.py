@@ -32,9 +32,10 @@ from typing import Callable
 
 from .polys import MultiPoly
 
-# Highest order WeightScheme.series expands.  The heaviest default scheme
-# (IncreasingExcAndDef, xvwq) takes 5 s of CPU at order 20, 19 s at 24 and
-# 58 s at 28 (Python 3.11, one x86-64 core); 24 keeps every scheme near 20 s.
+# Highest order WeightScheme.series expands.  The costliest input it admits,
+# ``cf --scheme All --marks xvwq``, takes 4.0 s of CPU at order 20 and 18-20 s
+# at 24 (Python 3.11.7, one core of an x86-64 Xeon); 24 keeps every scheme
+# near 20 s.
 MAX_ORDER = 24
 
 

@@ -59,7 +59,7 @@ def sweep_counts(n: int) -> dict[SubsetId, int]:
     """Cardinality of every supported class at size n, in one pass.
 
     Each base predicate runs once per permutation, however many classes
-    require it, and the cycle predicates share one cycle decomposition.
+    require it.
     """
     _check_size(n)
     requires = {subset: subset.spec.requires for subset in SubsetId}

@@ -289,20 +289,6 @@ def foata(values: Permutation | Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def ascent_count(values: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(values, values[1:]) if a < b)
-
-
-def left_to_right_minima(values: Sequence[int]) -> int:
-    count = 0
-    best = None
-    for v in values:
-        if best is None or v < best:
-            best = v
-            count += 1
-    return count
-
-
 def count_consecutive_123(values: Sequence[int]) -> int:
     """Number of positions starting a rising triple of adjacent entries."""
     return sum(

@@ -226,14 +226,6 @@ class MultiPoly:
         """The coefficient of one monomial; ValueError for a bad exponent tuple."""
         return self.coeffs.get(_pack(exps)[0], 0)
 
-    def coefficient_of(self, name: str, power: int) -> "MultiPoly":
-        """The coefficient of ``name**power`` as a polynomial (slot zeroed)."""
-        shift = _SHIFTS[VARS.index(name)]
-        return MultiPoly._make(
-            {k - (power << shift): c for k, c in self.coeffs.items() if k >> shift & _MASK == power},
-            self.top,
-        )
-
     def substitute(self, **values: int) -> "MultiPoly":
         """Set some of x, v, w, t, q to integer values.
 

@@ -51,9 +51,11 @@ def scheme_for(
     if name in EXTRA_SCHEMES:
         spec = EXTRA_SCHEMES[name]
         subset_id = None
-    else:
+    elif name in scheme_names():
         subset_id = SubsetId.from_name(name)
         spec = subset_id.spec
+    else:
+        raise ValueError(f"unknown scheme {name!r}; choose from {', '.join(scheme_names())}")
     supported = frozenset(spec.marks)
 
     if marks is None:

@@ -20,15 +20,23 @@ if TYPE_CHECKING:
     from .subsets import SubsetId
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+
+
 def factorials(n_max: int) -> list[int]:
+    _check_n_max(n_max)
     return [factorial(n) for n in range(n_max + 1)]
 
 
 def catalan_numbers(n_max: int) -> list[int]:
+    _check_n_max(n_max)
     return [comb(2 * n, n) // (n + 1) for n in range(n_max + 1)]
 
 
 def bell_numbers(n_max: int) -> list[int]:
+    _check_n_max(n_max)
     out = [1]
     for n in range(n_max):
         out.append(sum(comb(n, k) * out[k] for k in range(n + 1)))
@@ -36,6 +44,7 @@ def bell_numbers(n_max: int) -> list[int]:
 
 
 def baxter_numbers(n_max: int) -> list[int]:
+    _check_n_max(n_max)
     out = [1]
     for n in range(1, n_max + 1):
         total = sum(
@@ -100,6 +109,7 @@ def egf_no_double_step_counts(n_max: int) -> list[int]:
 
     A cos z = e^z gives a(n) = 1 - sum_{k>=1} (-1)^k C(n, 2k) a(n - 2k).
     """
+    _check_n_max(n_max)
     out: list[int] = []
     for n in range(n_max + 1):
         alt = sum((-1) ** k * comb(n, 2 * k) * out[n - 2 * k] for k in range(1, n // 2 + 1))
@@ -112,6 +122,7 @@ def egf_involution_counts(n_max: int) -> list[int]:
 
     A' = (1 + z) A gives a(n + 1) = a(n) + n a(n - 1).
     """
+    _check_n_max(n_max)
     out = [1, 1][: n_max + 1]
     for n in range(1, n_max):
         out.append(out[n] + n * out[n - 1])
@@ -124,6 +135,7 @@ def egf_unimodal_cycle_counts(n_max: int) -> list[int]:
     C has c(1) = 1 and c(k) = 2^(k-2) for k >= 2, and A' = C' A gives
     a(n + 1) = sum_k C(n, k) c(k + 1) a(n - k).
     """
+    _check_n_max(n_max)
     c = [0, 1] + [2 ** (k - 2) for k in range(2, n_max + 1)]
     out = [1]
     for n in range(n_max):
@@ -137,6 +149,7 @@ def ogf_increasing_exc_def_counts(n_max: int) -> list[int]:
     G solves G = 1 - z G + (2z - z^2) G^2; ``sq`` carries the coefficients
     of G^2 alongside those of G.
     """
+    _check_n_max(n_max)
     out, sq = [1], [1]
     for n in range(1, n_max + 1):
         out.append(2 * sq[n - 1] - out[n - 1] - (sq[n - 2] if n > 1 else 0))
@@ -150,8 +163,7 @@ def closed_form_counts(subset: SubsetId, n_max: int) -> list[int] | None:
     Sizes share the continued fraction's cap, so that every census source
     stops at the same order.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_n_max(n_max)
     if n_max > MAX_ORDER:
         raise ValueError(f"size {n_max} is over the census cap of {MAX_ORDER}")
     closed = subset.spec.closed

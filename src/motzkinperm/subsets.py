@@ -4,9 +4,11 @@ Each class is a conjunction of base membership predicates together with the
 step weights its members induce on colored Motzkin paths and, where one is
 known, a closed form for its counts; :data:`CLASSES` holds one
 :class:`ClassSpec` per :class:`SubsetId`, and adding a class means adding one
-record there.  The predicates are evaluated directly on the one-line values
-(the noncrossing family is the exception: its definition is a discipline on
-the diagram replay, so it reads :func:`motzkinperm.perms.diagram_walk`).
+record there.  Every predicate reads the one-line values directly and keeps
+no state between calls.  The diagram-defined Noncrossing class is one such
+conjunction too: an upper bounce of the diagram is a double excedance and a
+down step a cyclic peak, so its members are the unimodal noncrossing
+permutations with no double excedance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from .perms import DiagonalType, cycle_list, diagram_walk
+from .perms import cycle_list
 from .sequences import (
     bell_numbers,
     catalan_numbers,
@@ -60,25 +62,15 @@ class SubsetId(enum.Enum):
         return CLASSES[self]
 
 
-# The last (values, cycles) pair, so the cycle predicates below decompose a
-# permutation once however many of them test it in a row.  Only a tuple is
-# served from it: it cannot change, and holding it keeps its id from reuse.
-_last_cycles: tuple = (None, [])
-
-
-def _cycles(values: Sequence[int]) -> list[tuple[int, ...]]:
-    global _last_cycles
-    last = _last_cycles
-    if type(values) is tuple and values is last[0]:
-        return last[1]
-    cycles = cycle_list(values)
-    _last_cycles = (values, cycles)
-    return cycles
-
-
 def is_cyclic(values: Sequence[int]) -> bool:
     """Single cycle through every element (the empty permutation is not)."""
-    return len(values) >= 1 and len(_cycles(values)) == 1
+    n = len(values)
+    j = 1
+    for length in range(1, n + 1):
+        j = values[j - 1]
+        if j == 1:
+            return length == n
+    return False
 
 
 def avoids_321(values: Sequence[int]) -> bool:
@@ -116,18 +108,25 @@ def has_increasing_deficiency_values(values: Sequence[int]) -> bool:
     return _increasing([v for i, v in enumerate(values, 1) if v < i])
 
 
-def _cycle_unimodal(cycle: Sequence[int]) -> bool:
-    # minimum-first: strictly rises, then strictly falls; length <= 2 trivially
-    i = 1
-    while i < len(cycle) and cycle[i] > cycle[i - 1]:
-        i += 1
-    while i < len(cycle) and cycle[i] < cycle[i - 1]:
-        i += 1
-    return i == len(cycle)
-
-
 def has_unimodal_cycles(values: Sequence[int]) -> bool:
-    return all(_cycle_unimodal(c) for c in _cycles(values))
+    """Every cycle, read from its minimum, rises and then falls.
+
+    A cycle of length >= 2 has a cyclic peak v = pi(i) with i < v > pi(v) at
+    its maximum, and is unimodal iff that is its only one: the peaks number
+    the cycles minus the fixed points.
+    """
+    seen = bytearray(len(values) + 1)
+    surplus = 0  # cyclic peaks so far, less the cycles of length >= 2 begun
+    for i, v in enumerate(values, 1):
+        if i < v > values[v - 1]:
+            surplus += 1
+        if not seen[i]:  # i is the minimum of a cycle not yet walked
+            surplus -= v != i
+            seen[i] = 1
+            while not seen[v]:
+                seen[v] = 1
+                v = values[v - 1]
+    return surplus == 0
 
 
 def has_noncrossing_cycles(values: Sequence[int]) -> bool:
@@ -136,7 +135,7 @@ def has_noncrossing_cycles(values: Sequence[int]) -> bool:
     block_of = [0] * (n + 1)
     mins = {}
     maxs = {}
-    for b, cyc in enumerate(_cycles(values)):
+    for b, cyc in enumerate(cycle_list(values)):
         for i in cyc:
             block_of[i] = b
         mins[b] = min(cyc)
@@ -169,34 +168,20 @@ def has_no_nested_fixed_point(values: Sequence[int]) -> bool:
     return True
 
 
+def has_no_double_excedance(values: Sequence[int]) -> bool:
+    """No i < pi(i) < pi(pi(i)): no upper bounce in the diagram."""
+    return not any(i < v < values[v - 1] for i, v in enumerate(values, 1))
+
+
 def has_no_double_excedance_or_deficiency(values: Sequence[int]) -> bool:
-    for i, v in enumerate(values, 1):
-        if i < v < values[v - 1]:
-            return False
-        if i > v > values[v - 1]:
-            return False
-    return True
+    """No double excedance and no i > pi(i) > pi(pi(i))."""
+    return has_no_double_excedance(values) and not any(
+        i > v > values[v - 1] for i, v in enumerate(values, 1)
+    )
 
 
 def is_involution(values: Sequence[int]) -> bool:
     return all(values[v - 1] == i for i, v in enumerate(values, 1))
-
-
-def is_noncrossing(values: Sequence[int]) -> bool:
-    """Noncrossing discipline on the diagram replay.
-
-    Every LOWER_BOUNCE closes the innermost open horizontal ray, every CLOSE
-    closes the two innermost rays and those rays form a chained pair, and no
-    UPPER_BOUNCE occurs.
-    """
-    for typ, h, choice in diagram_walk(values):
-        if typ is DiagonalType.UPPER_BOUNCE:
-            return False
-        if typ is DiagonalType.LOWER_BOUNCE and choice.k != h:
-            return False
-        if typ is DiagonalType.CLOSE and not choice.j == choice.k == choice.cycle_k == h:
-            return False
-    return True
 
 
 def _qbracket(q, h: int):
@@ -245,7 +230,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         down=lambda h, x, v, w, t, q: v if h == 1 else h * (h - 1) * v,
         level=lambda h, x, v, w, t, q: (x if h == 0 else 0, h * v * w, h),
         elevated=True,
-        closed=lambda n: ([0] + factorials(n - 1))[: n + 1],
+        closed=lambda n: [0] + factorials(n - 1) if n else [0],
     ),
     SubsetId.AVOID321: ClassSpec(
         (avoids_321,), "xvwq",
@@ -266,7 +251,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         closed=catalan_numbers,
     ),
     SubsetId.NONCROSSING: ClassSpec(
-        (is_noncrossing,), "xvw",
+        (has_no_double_excedance, has_unimodal_cycles, has_noncrossing_cycles), "xvw",
         down=lambda h, x, v, w, t, q: v,
         level=lambda h, x, v, w, t, q: (x, 0, 0 if h == 0 else 1),
         closed=catalan_numbers,
@@ -287,7 +272,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         down=lambda h, x, v, w, t, q: v if h == 1 else (h - 1) * v,
         level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * w, h),
         elevated=True,
-        closed=lambda n: ([0] + bell_numbers(n - 1))[: n + 1],
+        closed=lambda n: [0] + bell_numbers(n - 1) if n else [0],
     ),
     SubsetId.UNIMODAL_CYCLES: ClassSpec(
         (has_unimodal_cycles,), "xvwt",

@@ -8,12 +8,57 @@ from __future__ import annotations
 
 from math import comb, factorial
 
+from motzkinperm.perms import DiagonalType, cycle_list, diagram_walk
 from motzkinperm.polys import VARS, MultiPoly
 
 
 def variables_used(poly: MultiPoly) -> frozenset[str]:
     """The markers that occur with a positive exponent in some term."""
     return frozenset(v for exps, _ in poly.to_terms() for v, e in zip(VARS, exps) if e)
+
+
+def ascent_count(values: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(values, values[1:]) if a < b)
+
+
+def left_to_right_minima(values: tuple[int, ...]) -> int:
+    count = 0
+    best = None
+    for v in values:
+        if best is None or v < best:
+            best = v
+            count += 1
+    return count
+
+
+def diagram_noncrossing(values: tuple[int, ...]) -> bool:
+    """The paper's noncrossing discipline on the diagram replay.
+
+    Every LOWER_BOUNCE closes the innermost open horizontal ray, every CLOSE
+    closes the two innermost rays and those rays form a chained pair, and no
+    UPPER_BOUNCE occurs.
+    """
+    for typ, h, choice in diagram_walk(values):
+        if typ is DiagonalType.UPPER_BOUNCE:
+            return False
+        if typ is DiagonalType.LOWER_BOUNCE and choice.k != h:
+            return False
+        if typ is DiagonalType.CLOSE and not choice.j == choice.k == choice.cycle_k == h:
+            return False
+    return True
+
+
+def cycles_rise_then_fall(values: tuple[int, ...]) -> bool:
+    """Each cycle, written minimum-first, strictly rises and then strictly falls."""
+    for cycle in cycle_list(values):
+        i = 1
+        while i < len(cycle) and cycle[i] > cycle[i - 1]:
+            i += 1
+        while i < len(cycle) and cycle[i] < cycle[i - 1]:
+            i += 1
+        if i != len(cycle):
+            return False
+    return True
 
 
 def motzkin_numbers(n_max: int) -> list[int]:

@@ -18,11 +18,13 @@ from fractions import Fraction
 
 from conftest import all_perms
 from reference import (
+    ascent_count,
     central_binomials,
     central_trinomials,
     derangement_numbers,
     even_double_factorials,
     labeled_graph_counts,
+    left_to_right_minima,
     motzkin_numbers,
     no_singleton_partition_counts,
     odd_double_factorials,
@@ -51,13 +53,7 @@ from motzkinperm.oracle import (
     sweep_counts,
 )
 from motzkinperm.paths import enumerate_paths, path_to_perm, perm_to_path
-from motzkinperm.perms import (
-    ascent_count,
-    count_consecutive_123,
-    foata,
-    left_to_right_minima,
-    stats,
-)
+from motzkinperm.perms import count_consecutive_123, foata, stats
 from motzkinperm.schemes import scheme_for
 from motzkinperm.sequences import (
     baxter_numbers,

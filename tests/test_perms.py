@@ -14,7 +14,6 @@ from motzkinperm.perms import (
     DiagonalType,
     Permutation,
     StatVector,
-    ascent_count,
     avoids_classical,
     classify_entries,
     contains_classical,
@@ -24,13 +23,13 @@ from motzkinperm.perms import (
     diagram_walk,
     foata,
     inverse,
-    left_to_right_minima,
     random_permutation,
     stats,
 )
 from motzkinperm.subsets import avoids_321
 
 from conftest import all_perms
+from reference import ascent_count, left_to_right_minima
 
 
 def test_module_doctests():

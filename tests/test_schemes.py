@@ -45,6 +45,13 @@ def test_unknown_scheme_name_is_rejected():
         scheme_for("NoSuchScheme")
 
 
+def test_unknown_scheme_error_lists_every_scheme_name():
+    with pytest.raises(ValueError) as info:
+        scheme_for("Nope")
+    for name in scheme_names():
+        assert name in str(info.value)
+
+
 def test_unsupported_markers_are_rejected():
     with pytest.raises(ValueError):
         scheme_for(SubsetId.CYCLIC, marks="t")

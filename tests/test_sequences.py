@@ -149,6 +149,28 @@ def test_closed_form_refuses_a_negative_size(subset):
         closed_form_counts(subset, -1)
 
 
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        baxter_numbers,
+        bell_numbers,
+        catalan_numbers,
+        consecutive_123_avoider_counts,
+        egf_involution_counts,
+        egf_no_double_step_counts,
+        egf_unimodal_cycle_counts,
+        factorials,
+        genocchi_numbers,
+        median_genocchi_numbers,
+        ogf_increasing_exc_def_counts,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_every_sequence_refuses_a_negative_size(sequence):
+    with pytest.raises(ValueError, match="nonnegative"):
+        sequence(-1)
+
+
 def test_zero_length_prefixes():
     assert factorials(0) == [1]
     assert bell_numbers(0) == [1]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from motzkinperm.oracle import distribution
 from motzkinperm.perms import DiagonalType, classify_entries, cycle_list, inverse
+from motzkinperm.schemes import scheme_for
 from motzkinperm.subsets import (
     SubsetId,
     avoids_321,
@@ -13,12 +15,13 @@ from motzkinperm.subsets import (
     has_no_nested_fixed_point,
     has_noncrossing_cycles,
     has_unimodal_cycles,
+    is_cyclic,
     is_involution,
     is_member,
-    is_noncrossing,
 )
 
 from conftest import all_perms
+from reference import cycles_rise_then_fall, diagram_noncrossing
 
 
 def test_subset_names_round_trip():
@@ -72,7 +75,25 @@ def test_noncrossing_class_is_noncrossing_decreasing_cycles():
                 if any(perm[s[i] - 1] != s[i - 1] for i in range(1, len(s))):
                     decreasing = False
             expect = decreasing and has_noncrossing_cycles(perm)
-            assert is_noncrossing(perm) == expect
+            assert is_member(perm, SubsetId.NONCROSSING) == expect
+
+
+def test_one_pass_predicates_match_the_diagram_and_cycle_walks():
+    for n in range(8):
+        for perm in all_perms(n):
+            assert is_member(perm, SubsetId.NONCROSSING) == diagram_noncrossing(perm)
+            assert has_unimodal_cycles(perm) == cycles_rise_then_fall(perm)
+            assert is_cyclic(perm) == (len(cycle_list(perm)) == 1)
+
+
+def test_noncrossing_census_is_the_unimodal_noncrossing_census_at_w_zero():
+    for n in range(8):
+        assert distribution(n, SubsetId.NONCROSSING, "xv") == distribution(
+            n, SubsetId.UNIMODAL_NONCROSSING, "xvw"
+        ).substitute(w=0)
+    noncrossing = scheme_for(SubsetId.NONCROSSING, "xv").series(12)
+    unimodal = scheme_for(SubsetId.UNIMODAL_NONCROSSING, "xvw").series(12)
+    assert noncrossing == tuple(c.substitute(w=0) for c in unimodal)
 
 
 def test_nested_fixed_point_detection():
