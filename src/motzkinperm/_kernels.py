@@ -4,8 +4,10 @@
 points, excedances, double excedances and cycles, with a Fenwick tree
 counting inversions.  It assumes a valid permutation;
 :func:`motzkinperm.perms.stats` is the checked entry point.
-:func:`census_stats` walks the one-line prefixes of S_n depth first (Knuth,
-TAOCP 4A, 7.2.1.2), updating all five statistics in O(1) per placed entry.
+:func:`prefix_walk` walks the one-line prefixes of S_n depth first (Knuth,
+TAOCP 4A, 7.2.1.2), updating all five statistics in O(1) per placed entry and
+skipping every prefix a class's prefix test rules out; :func:`census_stats`
+tallies it over the whole group.
 ``BACKEND`` names the kernel that runs; the benchmark probe reads it.
 """
 
@@ -49,41 +51,88 @@ def stat_tuple(values):
     return (fixed, exc, dexc, cyc, inv)
 
 
-def census_stats(n):
-    """Tally :func:`stat_tuple` over all of S_n: {stat tuple: multiplicity}.
+class Prefix:
+    """What a prefix test sees of the permutation being built.
 
-    Position i takes each unused value v in turn: a fixed point if v = i, an
-    excedance if v > i, a double excedance j < i < v if i is already some
-    earlier pi(j), and one inversion per unused value below v.  Placed entries
-    form chains (``head``: tail -> head, ``tail``: head -> tail); i -> v closes
-    a cycle if v heads the chain ending at i, else joins the two chains.
+    When the walk tries value v at position i, ``values[j]`` is pi(j) for
+    1 <= j < i (``values[0]`` is padding), ``unused`` lists the values not yet
+    placed in increasing order (v among them), and ``top`` is the largest
+    placed value, 0 for the empty prefix.  Placed entries form chains j ->
+    pi(j) -> ...; ``head[t]`` is the first element of the chain that ends at
+    t and ``tail[h]`` the last of the chain that starts at h, so ``head[i] !=
+    i`` exactly when i is already some earlier pi(j), and placing v = head[i]
+    closes a cycle.
+    """
+
+    __slots__ = ("values", "unused", "top", "head", "tail")
+
+    def __init__(self, n: int) -> None:
+        self.values = [0] * (n + 1)
+        self.unused = list(range(1, n + 1))
+        self.top = 0
+        self.head = list(range(n + 1))
+        self.tail = list(range(n + 1))
+
+
+def prefix_walk(n, visit, prefix_ok=None):
+    """Call ``visit(values, stats)`` on each permutation of S_n, in lexicographic order.
+
+    The walk places pi(1), pi(2), ... depth first (Knuth, TAOCP 4A, 7.2.1.2,
+    Algorithm X) and carries the :func:`stat_tuple` statistics with O(1)
+    updates: position i takes each unused value v in turn, a fixed point if
+    v = i, an excedance if v > i, a double excedance j < i < v if i is
+    already some earlier pi(j), and one inversion per unused value below v.
+    With ``prefix_ok(prefix, i, v)`` given, a value is tried only where it
+    returns True for the :class:`Prefix` view, so whole subtrees are skipped;
+    it must hold on every prefix of every permutation the caller wants.
+    ``values`` is the list of the view, 1-based and reused: copy what you keep.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    head, tail = list(range(n + 1)), list(range(n + 1))
-    counts: dict[tuple[int, int, int, int, int], int] = {} if n else {(0, 0, 0, 0, 0): 1}
+    prefix = Prefix(n)
+    values, unused, head, tail = prefix.values, prefix.unused, prefix.head, prefix.tail
 
-    def walk(i, unused, fixed, exc, dexc, cyc, inv):
+    def walk(i, fixed, exc, dexc, cyc, inv, top):
         if i == n:  # the last value left closes the last cycle
-            key = (fixed + (unused[0] == n), exc, dexc, cyc + 1, inv)
-            counts[key] = counts.get(key, 0) + 1
+            v = unused[0]
+            if prefix_ok is None or prefix_ok(prefix, i, v):
+                values[i] = v
+                visit(values, (fixed + (v == n), exc, dexc, cyc + 1, inv))
             return
         h = head[i]
         dexc_above = dexc + (h != i)
         for k, v in enumerate(unused):
-            rest = unused[:k] + unused[k + 1 :]
+            if prefix_ok is not None and not prefix_ok(prefix, i, v):
+                continue
+            values[i] = v
             if v > i:
                 f, e, d = fixed, exc + 1, dexc_above
             else:
                 f, e, d = fixed + (v == i), exc, dexc
+            prefix.top = v if v > top else top
+            del unused[k]
             if v == h:
-                walk(i + 1, rest, f, e, d, cyc + 1, inv + k)
+                walk(i + 1, f, e, d, cyc + 1, inv + k, prefix.top)
             else:
                 t = tail[v]
                 head[t], tail[h] = h, t
-                walk(i + 1, rest, f, e, d, cyc, inv + k)
+                walk(i + 1, f, e, d, cyc, inv + k, prefix.top)
                 head[t], tail[h] = v, i
+            unused.insert(k, v)
+            prefix.top = top
 
     if n:
-        walk(1, list(range(1, n + 1)), 0, 0, 0, 0, 0)
+        walk(1, 0, 0, 0, 0, 0, 0)
+    else:
+        visit(values, (0, 0, 0, 0, 0))
+
+
+def census_stats(n):
+    """Tally :func:`stat_tuple` over all of S_n: {stat tuple: multiplicity}."""
+    counts: dict[tuple[int, int, int, int, int], int] = {}
+
+    def tally(values, key):
+        counts[key] = counts.get(key, 0) + 1
+
+    prefix_walk(n, tally)
     return counts

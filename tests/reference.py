@@ -6,8 +6,11 @@ independent of the path and continued-fraction code it cross-checks.
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
 from math import comb, factorial
+from typing import Iterator, Sequence
 
+from motzkinperm._kernels import Prefix
 from motzkinperm.perms import DiagonalType, cycle_list, diagram_walk
 from motzkinperm.polys import VARS, MultiPoly
 
@@ -59,6 +62,53 @@ def cycles_rise_then_fall(values: tuple[int, ...]) -> bool:
         if i != len(cycle):
             return False
     return True
+
+
+def contains_classical(values: Sequence[int], pattern: Sequence[int]) -> bool:
+    """Classical pattern containment: some subsequence is order-isomorphic to ``pattern``."""
+    k = len(pattern)
+    if k > len(values):
+        return False
+    target = rank_word(pattern)
+    return any(rank_word(combo) == target for combo in combinations(values, k))
+
+
+def rank_word(seq: Sequence[int]) -> tuple[int, ...]:
+    order = sorted(seq)
+    return tuple(order.index(v) + 1 for v in seq)
+
+
+def avoids_classical(values: Sequence[int], pattern: Sequence[int]) -> bool:
+    return not contains_classical(values, pattern)
+
+
+def cyclic_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    """The (n-1)! single cycles of size n >= 1, one per order of 2..n after 1."""
+    for order in permutations(range(2, n + 1)):
+        vals = [0] * n
+        prev = 1
+        for nxt in order:
+            vals[prev - 1] = nxt
+            prev = nxt
+        vals[prev - 1] = 1
+        yield tuple(vals)
+
+
+def prefix_view(prefix: Sequence[int], n: int) -> Prefix:
+    """What the prefix walk shows a prefix test after placing ``prefix`` as
+    pi(1), pi(2), ... of a permutation of size n: the same chain joins, made
+    in order and never undone."""
+    view = Prefix(n)
+    head, tail = view.head, view.tail
+    for i, v in enumerate(prefix, 1):
+        view.values[i] = v
+        view.unused.remove(v)
+        view.top = max(view.top, v)
+        h = head[i]
+        if v != h:
+            t = tail[v]
+            head[t], tail[h] = h, t
+    return view
 
 
 def motzkin_numbers(n_max: int) -> list[int]:

@@ -48,6 +48,7 @@ from motzkinperm.invert import RecoveryStatus, classify_weights, invert_jfractio
 from motzkinperm.mobius import FAMILIES, brute_count, mobius_count
 from motzkinperm.oracle import (
     consecutive_123_distribution,
+    count,
     distribution,
     members,
     sweep_counts,
@@ -253,6 +254,22 @@ def test_05_class_counts_agree_across_all_three_sources():
     print("PASS 05: enumeration, fraction, and formula agree for every class, n <= 8")
 
 
+def test_05c_pruned_enumeration_reaches_size_10():
+    n = 10
+    catalan = math.comb(2 * n, n) // (n + 1)
+    formulas = {
+        SubsetId.AVOID321: catalan,
+        SubsetId.NONCROSSING: catalan,
+        SubsetId.INVOLUTIONS: _generating_function_counts(n)[SubsetId.INVOLUTIONS][n],
+        SubsetId.INVOLUTIONS321: math.comb(n, n // 2),
+    }
+    for subset, formula in formulas.items():
+        counted = count(n, subset)
+        assert counted == formula == scheme_for(subset, "").counts(n)[n], subset
+        assert closed_form_counts(subset, n)[n] == counted, subset
+    print("PASS 05c: enumeration, fraction, and formula agree for four classes at n = 10")
+
+
 def test_05b_recurrence_closed_forms_match_series_arithmetic_up_to_the_cap():
     for subset, want in _generating_function_counts(MAX_ORDER).items():
         assert closed_form_counts(subset, MAX_ORDER) == want, subset
@@ -438,10 +455,10 @@ def test_09_cyclic_avoidance_formulas_match_enumeration():
     }
     assert set(FAMILIES) == set(at_six)
     for family in FAMILIES:
-        for n in range(2, 9):
+        for n in range(2, 11):
             assert mobius_count(family, n) == brute_count(family, n), (family, n)
         assert mobius_count(family, 6) == at_six[family], family
-    print("PASS 09: all four divisor-sum formulas match enumeration, 2 <= n <= 8")
+    print("PASS 09: all four divisor-sum formulas match enumeration, 2 <= n <= 10")
 
 
 def _motzkin_words(n: int):

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-import motzkinperm.mobius
-from motzkinperm.mobius import FAMILIES, brute_count, mobius_count, mobius_value
-from motzkinperm.oracle import MAX_BRUTE_N
+import motzkinperm._kernels
+from motzkinperm.mobius import (
+    BRUTE_CAP,
+    FAMILIES,
+    brute_count,
+    mobius_count,
+    mobius_value,
+)
+
+from reference import avoids_classical, cyclic_permutations
 
 
 def test_mobius_function_values():
@@ -45,13 +52,24 @@ def test_formulas_match_brute_force():
 
 
 def test_brute_count_is_capped_before_enumerating(monkeypatch):
-    def enumerate_nothing(n):
+    def enumerate_nothing(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(motzkinperm.mobius, "cyclic_permutations", enumerate_nothing)
-    for n in (MAX_BRUTE_N + 1, 15):
+    monkeypatch.setattr(motzkinperm._kernels, "prefix_walk", enumerate_nothing)
+    for n in (BRUTE_CAP + 1, 15):
         with pytest.raises(ValueError, match="the cap is"):
             brute_count(FAMILIES[0], n)
+
+
+def test_brute_count_matches_the_subsequence_scan_over_all_cycles():
+    for family in FAMILIES:
+        patterns = [tuple(int(c) for c in pat) for pat in family.split(",")]
+        for n in range(2, 9):
+            want = sum(
+                1 for perm in cyclic_permutations(n)
+                if all(avoids_classical(perm, pat) for pat in patterns)
+            )
+            assert brute_count(family, n) == want, (family, n)
 
 
 def test_small_sizes_are_rejected():

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
+import motzkinperm._kernels
 from motzkinperm import perms, subsets
 from motzkinperm.bell import set_partitions
 from motzkinperm.oracle import (
     MAX_BRUTE_N,
     consecutive_123_distribution,
+    count,
     distribution,
     members,
     sweep_counts,
@@ -49,13 +52,43 @@ def test_distribution_restricted_to_a_subset():
         assert distribution(n, SubsetId.INVOLUTIONS, "xvwtq") == expected
 
 
-def test_size_cap_is_enforced():
-    with pytest.raises(ValueError):
-        distribution(MAX_BRUTE_N + 1, SubsetId.ALL, "x")
-    with pytest.raises(ValueError):
+def test_size_cap_is_enforced(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(motzkinperm._kernels, "prefix_walk", enumerate_nothing)
+    assert SubsetId.ALL.spec.brute_cap == MAX_BRUTE_N
+    for subset in SubsetId:
+        cap = subset.spec.brute_cap
+        assert cap >= MAX_BRUTE_N
+        assert (cap > MAX_BRUTE_N) <= (subset.spec.prefix_ok is not None)
+        for call in (distribution, lambda n, s: list(members(n, s)), count):
+            with pytest.raises(ValueError, match="the cap is"):
+                call(cap + 1, subset)
+            with pytest.raises(ValueError):
+                call(-1, subset)
+    with pytest.raises(ValueError, match="the cap is"):
         sweep_counts(MAX_BRUTE_N + 1)
-    with pytest.raises(ValueError):
-        distribution(-1, SubsetId.ALL, "x")
+    with pytest.raises(ValueError, match="the cap is"):
+        consecutive_123_distribution(MAX_BRUTE_N + 1)
+
+
+def test_pruned_walk_yields_what_the_unpruned_filter_yields():
+    # each predicate runs once per permutation; every class keeps what passes all of its own
+    predicates = list({p: None for s in SubsetId for p in s.spec.requires})
+    classes_holding = {}
+    for n in range(9):
+        kept = {subset: [] for subset in SubsetId}
+        for perm in itertools.permutations(range(1, n + 1)):
+            holds = frozenset(p for p in predicates if p(perm))
+            if holds not in classes_holding:
+                classes_holding[holds] = [s for s in SubsetId if holds.issuperset(s.spec.requires)]
+            for subset in classes_holding[holds]:
+                kept[subset].append(perm)
+        counts = sweep_counts(n)
+        for subset in SubsetId:
+            assert list(members(n, subset)) == kept[subset], (subset, n)
+            assert counts[subset] == count(n, subset) == len(kept[subset]), (subset, n)
 
 
 def test_sweep_counts_matches_membership_filters():

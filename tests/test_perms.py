@@ -12,24 +12,29 @@ from motzkinperm.bell import cycle_to_path, weak_exc_partition
 from motzkinperm.paths import perm_to_path
 from motzkinperm.perms import (
     DiagonalType,
+    Pattern,
     Permutation,
     StatVector,
-    avoids_classical,
     classify_entries,
-    contains_classical,
     count_consecutive_123,
     cycle_list,
-    cyclic_permutations,
     diagram_walk,
     foata,
     inverse,
     random_permutation,
     stats,
 )
-from motzkinperm.subsets import avoids_321
+from motzkinperm.oracle import members
+from motzkinperm.subsets import SubsetId, avoids_321
 
 from conftest import all_perms
-from reference import ascent_count, left_to_right_minima
+from reference import (
+    ascent_count,
+    avoids_classical,
+    contains_classical,
+    cyclic_permutations,
+    left_to_right_minima,
+)
 
 
 def test_module_doctests():
@@ -190,6 +195,15 @@ def test_pattern_containment_small_cases():
     assert not avoids_classical((3, 5, 1, 4, 2), (3, 2, 1))
 
 
+def test_pattern_search_matches_the_subsequence_scan():
+    patterns = [(1,), (2, 1), (1, 2, 3), (3, 1, 2), (2, 1, 4, 3), (3, 1, 4, 2), (2, 4, 1, 3)]
+    for pattern in patterns:
+        search = Pattern(pattern)
+        for n in range(7):
+            for perm in all_perms(n):
+                assert search.avoided_by(perm) == avoids_classical(perm, pattern), (pattern, perm)
+
+
 def test_fast_321_avoidance_matches_the_classical_test():
     for n in range(8):
         for perm in all_perms(min(n, 7)):
@@ -203,10 +217,11 @@ def test_random_permutation_is_uniformly_supported(rng):
 
 
 def test_cyclic_permutations_enumerates_single_cycles():
-    for n in range(1, 7):
-        perms = list(cyclic_permutations(n))
+    # the pruned walk of the Cyclic class against the cycle orders after 1
+    for n in range(1, 8):
+        perms = list(members(n, SubsetId.CYCLIC))
         assert len(perms) == math.factorial(n - 1)
-        assert len(set(perms)) == len(perms)
+        assert perms == sorted(cyclic_permutations(n))
         for perm in perms:
             assert len(cycle_list(perm)) == 1
 

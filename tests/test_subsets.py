@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motzkinperm._kernels import prefix_walk
 from motzkinperm.oracle import distribution
 from motzkinperm.perms import DiagonalType, classify_entries, cycle_list, inverse
 from motzkinperm.schemes import scheme_for
@@ -17,11 +22,12 @@ from motzkinperm.subsets import (
     has_unimodal_cycles,
     is_cyclic,
     is_involution,
+    PREFIX_TESTS,
     is_member,
 )
 
 from conftest import all_perms
-from reference import cycles_rise_then_fall, diagram_noncrossing
+from reference import cycles_rise_then_fall, diagram_noncrossing, prefix_view
 
 
 def test_subset_names_round_trip():
@@ -168,3 +174,102 @@ def test_membership_of_a_list_mutated_in_place_is_fresh():
     assert not is_member(values, SubsetId.UNIMODAL_NONCROSSING)
     values[:] = [2, 1, 4, 3]
     assert is_member(values, SubsetId.UNIMODAL_NONCROSSING)
+
+
+@pytest.mark.parametrize(
+    "values, subset",
+    [
+        ((0, 1), SubsetId.CYCLIC),
+        ((2, 2), SubsetId.ALL),
+        ((2, 2), SubsetId.AVOID321),
+        ((3,), SubsetId.NONCROSSING),
+    ],
+)
+def test_membership_refuses_what_is_not_a_permutation(values, subset):
+    with pytest.raises(ValueError, match="not a rearrangement"):
+        is_member(values, subset)
+
+
+# -- prefix tests ------------------------------------------------------------
+
+# Small members of every class, by filtering, to splice into larger ones.
+_SMALL = {
+    subset: [perm for n in range(1, 7) for perm in all_perms(n) if is_member(perm, subset)]
+    for subset in SubsetId
+}
+# Every class but the two cyclic ones is closed under the direct sum a + b
+# (b shifted above a): its members' excedances, cycles and patterns stay apart.
+_SUMMABLE = [s for s in SubsetId if s.spec.requires and not any(
+    p is is_cyclic for p in s.spec.requires)]
+
+
+def _direct_sum(blocks):
+    out: list[int] = []
+    for block in blocks:
+        shift = len(out)
+        out.extend(v + shift for v in block)
+    return tuple(out)
+
+
+@st.composite
+def _large_members(draw):
+    """A member of size up to 14 of a class with a prefix test, and the class."""
+    subset = draw(st.sampled_from([s for s in SubsetId if s.spec.prefix_ok is not None]))
+    if subset in _SUMMABLE:
+        blocks = draw(st.lists(st.sampled_from(_SMALL[subset]), max_size=5))
+        while sum(map(len, blocks)) > 14:
+            blocks.pop()
+        perm = _direct_sum(blocks)
+    else:  # a single cycle: 1 followed by the others in a drawn order
+        n = draw(st.integers(1, 14))
+        order = draw(st.permutations(range(2, n + 1)))
+        vals = [0] * n
+        prev = 1
+        for nxt in order:
+            vals[prev - 1] = nxt
+            prev = nxt
+        vals[prev - 1] = 1
+        perm = tuple(vals)
+    return perm, subset
+
+
+def _every_prefix_passes(perm, test):
+    n = len(perm)
+    return all(test(prefix_view(perm[: i - 1], n), i, perm[i - 1]) for i in range(1, n + 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_large_members())
+def test_prefix_tests_pass_every_prefix_of_a_member(drawn):
+    perm, subset = drawn
+    if not is_member(perm, subset):  # a single cycle outside CyclicIncreasingExc
+        return
+    assert _every_prefix_passes(perm, subset.spec.prefix_ok), (perm, subset)
+    for predicate in subset.spec.requires:
+        assert _every_prefix_passes(perm, PREFIX_TESTS[predicate]), (perm, predicate)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 14).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_prefix_tests_pass_every_prefix_of_a_random_permutation_they_accept(perm):
+    perm = tuple(perm)
+    for predicate, test in PREFIX_TESTS.items():
+        if predicate(perm):
+            assert _every_prefix_passes(perm, test), (perm, predicate)
+
+
+def test_the_walk_shows_its_prefix_tests_what_prefix_view_builds():
+    n = 6
+    seen = []
+
+    def record(prefix, i, v):
+        expect = prefix_view(prefix.values[1:i], n)
+        assert prefix.values[:i] == expect.values[:i]
+        assert prefix.unused == expect.unused
+        assert prefix.top == expect.top
+        assert (prefix.head, prefix.tail) == (expect.head, expect.tail)
+        seen.append(i)
+        return True
+
+    prefix_walk(n, lambda values, stats: None, record)
+    assert len(seen) == sum(math.perm(n, k) for k in range(1, n + 1))
