@@ -162,14 +162,14 @@ def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
 
 
 def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
-    """Counts of every class: one sweep per size up to 7, then each class on
-    its own up to its brute-force cap."""
+    """Counts of every class: one sweep per size up to 9, where every class
+    can be enumerated, then each class on its own up to its own cap."""
     failures: list[str] = []
     top = min(max_n, max(s.spec.brute_cap for s in SubsetId))
     series = {subset: scheme_for(subset, "").counts(top) for subset in SubsetId}
     closed = {subset: closed_form_counts(subset, top) for subset in SubsetId}
     for n in range(top + 1):
-        if n <= 7:
+        if n <= MAX_BRUTE_N:
             counted = sweep_counts(n)
         else:
             counted = {s: count(n, s) for s in SubsetId if n <= s.spec.brute_cap}

@@ -99,10 +99,10 @@ def sweep_counts(n: int) -> dict[SubsetId, int]:
     """Cardinality of every supported class at size n.
 
     All is counted by the unpruned walk.  The other classes share one walk
-    that tracks, as a bit mask, the base predicates whose prefix tests every
-    prefix so far has passed, and goes deeper only while some class still has
-    all of its predicates in the mask.  At each permutation reached, each
-    predicate left in the mask runs once.
+    that keeps, as a bit mask per depth, the base predicates whose prefix
+    tests every prefix so far has passed and that belong to a class all of
+    whose predicates did; it goes deeper only while that mask is not empty.
+    At each permutation reached, each predicate left in the mask runs once.
     """
     _check_size(n)
     counts = {subset: 0 for subset in SubsetId}
@@ -111,17 +111,23 @@ def sweep_counts(n: int) -> dict[SubsetId, int]:
     bit = {p: 1 << k for k, p in enumerate(predicates)}
     tests = [(bit[p], PREFIX_TESTS[p]) for p in predicates]
     needs = [(s, sum(bit[p] for p in s.spec.requires)) for s in SubsetId if s.spec.requires]
-    live = [(1 << len(predicates)) - 1] * (n + 2)  # live[i]: tests pi(1..i-1) passed
+    live = [(1 << len(predicates)) - 1] * (n + 2)  # live[i]: the mask for pi(1..i-1)
+    useful: dict[int, int] = {}  # passed tests -> the bits of the classes they hold whole
 
     def prefix_ok(prefix, i, v):
         was, passed = live[i], 0
         for b, test in tests:
             if was & b and test(prefix, i, v):
                 passed |= b
-        if any(passed & need == need for _, need in needs):
-            live[i + 1] = passed
-            return True
-        return False
+        keep = useful.get(passed)
+        if keep is None:
+            keep = 0
+            for _, need in needs:
+                if passed & need == need:
+                    keep |= need
+            useful[passed] = keep
+        live[i + 1] = keep
+        return keep != 0
 
     def leaf(values, stats):
         full = tuple(values[1:])

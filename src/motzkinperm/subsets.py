@@ -233,23 +233,24 @@ def _unimodal_cycles_prefix(prefix, i, v):
 def _noncrossing_cycles_prefix(prefix, i, v):
     """When the cycle through i closes, every other entry strictly between its
     minimum and i must map into the same gap between its consecutive elements."""
-    if v != prefix.head[i]:
+    if v != prefix.head[i] or v == i:
         return True
     values = prefix.values
-    on_cycle = bytearray(i + 1)
+    gap_of = [-1] * len(values)  # -1 off the span, 0 on the cycle, else 1 + the gap
+    gap_of[i] = 0
     low = u = v
     while u != i:
-        on_cycle[u] = 1
-        low = min(low, u)
+        gap_of[u] = 0
+        if u < low:
+            low = u
         u = values[u]
-    gap_of = {}
-    gap = 0
+    gap = 1
     for x in range(low + 1, i):
-        if on_cycle[x]:
-            gap += 1
-        else:
+        if gap_of[x]:
             gap_of[x] = gap
-    return all(gap_of.get(values[x]) == g for x, g in gap_of.items())
+        else:
+            gap += 1
+    return all(gap_of[values[x]] == gap_of[x] for x in range(low + 1, i) if gap_of[x])
 
 
 def _no_nested_fixed_point_prefix(prefix, i, v):
