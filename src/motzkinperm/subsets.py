@@ -291,20 +291,6 @@ PREFIX_TESTS: dict[Callable[[Sequence[int]], bool], Callable[..., bool]] = {
 }
 
 
-def all_of(tests):
-    """One prefix test that holds where every one of ``tests`` does; None for none."""
-    if len(tests) <= 1:
-        return tests[0] if tests else None
-
-    def test(prefix, i, v):
-        for t in tests:
-            if not t(prefix, i, v):
-                return False
-        return True
-
-    return test
-
-
 def _qbracket(q, h: int):
     """1 + q + ... + q^(h-1); zero when h is 0."""
     return sum((q**i for i in range(h)), 0)
@@ -338,7 +324,18 @@ class ClassSpec:
 
     @property
     def prefix_ok(self) -> Callable[..., bool] | None:
-        return all_of(tuple(PREFIX_TESTS[p] for p in self.requires))
+        """The prefix tests of ``requires`` as one test; None when it is empty."""
+        tests = tuple(PREFIX_TESTS[p] for p in self.requires)
+        if len(tests) <= 1:
+            return tests[0] if tests else None
+
+        def all_pass(prefix, i, v):
+            for test in tests:
+                if not test(prefix, i, v):
+                    return False
+            return True
+
+        return all_pass
 
 
 CLASSES: dict[SubsetId, ClassSpec] = {

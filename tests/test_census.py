@@ -68,6 +68,15 @@ def test_census_input_validation():
         census(SubsetId.ALL, 4, sources=())
     with pytest.raises(ValueError):
         census(SubsetId.ALL, 12, sources=("bf",))
+    for subset in SubsetId:
+        with pytest.raises(ValueError, match="capped at size"):
+            census(subset, subset.spec.brute_cap + 1, sources=("bf",))
+
+
+def test_brute_force_census_runs_past_nine_where_the_class_prunes():
+    report = census(SubsetId.INVOLUTIONS321, 12, sources=("bf", "cf", "closed"))
+    assert report.passing
+    assert report.values["BruteForce"][12] == 924
 
 
 def test_census_without_brute_force_runs_past_the_brute_force_cap():
