@@ -78,6 +78,9 @@ def distribution(
 
 def count(n: int, subset: SubsetId) -> int:
     """Number of class members of size n, by enumeration."""
+    if subset is SubsetId.ALL:
+        _check_size(n)
+        return sum(_kernels.census_stats(n).values())
     total = 0
 
     def add(values, stats):
@@ -106,7 +109,7 @@ def sweep_counts(n: int) -> dict[SubsetId, int]:
     """
     _check_size(n)
     counts = {subset: 0 for subset in SubsetId}
-    counts[SubsetId.ALL] = sum(_kernels.census_stats(n).values())
+    counts[SubsetId.ALL] = count(n, SubsetId.ALL)
     predicates = list({p: None for s in SubsetId for p in s.spec.requires})
     bit = {p: 1 << k for k, p in enumerate(predicates)}
     tests = [(bit[p], PREFIX_TESTS[p]) for p in predicates]

@@ -82,16 +82,20 @@ def avoids_classical(values: Sequence[int], pattern: Sequence[int]) -> bool:
     return not contains_classical(values, pattern)
 
 
+def single_cycle(order: Sequence[int]) -> tuple[int, ...]:
+    """The cycle 1 -> order[0] -> order[1] -> ... -> 1, where ``order`` arranges 2..n."""
+    vals = [0] * (len(order) + 1)
+    prev = 1
+    for nxt in order:
+        vals[prev - 1] = nxt
+        prev = nxt
+    vals[prev - 1] = 1
+    return tuple(vals)
+
+
 def cyclic_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """The (n-1)! single cycles of size n >= 1, one per order of 2..n after 1."""
-    for order in permutations(range(2, n + 1)):
-        vals = [0] * n
-        prev = 1
-        for nxt in order:
-            vals[prev - 1] = nxt
-            prev = nxt
-        vals[prev - 1] = 1
-        yield tuple(vals)
+    return map(single_cycle, permutations(range(2, n + 1)))
 
 
 def prefix_view(prefix: Sequence[int], n: int) -> Prefix:

@@ -254,6 +254,12 @@ def test_05_class_counts_agree_across_all_three_sources():
     print("PASS 05: enumeration, fraction, and formula agree for every class, n <= 8")
 
 
+def test_05b_recurrence_closed_forms_match_series_arithmetic_up_to_the_cap():
+    for subset, want in _generating_function_counts(MAX_ORDER).items():
+        assert closed_form_counts(subset, MAX_ORDER) == want, subset
+    print(f"PASS 05b: the closed-form recurrences match series arithmetic, n <= {MAX_ORDER}")
+
+
 def test_05c_pruned_enumeration_reaches_size_10():
     n = 10
     catalan = math.comb(2 * n, n) // (n + 1)
@@ -268,12 +274,6 @@ def test_05c_pruned_enumeration_reaches_size_10():
         assert counted == formula == scheme_for(subset, "").counts(n)[n], subset
         assert closed_form_counts(subset, n)[n] == counted, subset
     print("PASS 05c: enumeration, fraction, and formula agree for four classes at n = 10")
-
-
-def test_05b_recurrence_closed_forms_match_series_arithmetic_up_to_the_cap():
-    for subset, want in _generating_function_counts(MAX_ORDER).items():
-        assert closed_form_counts(subset, MAX_ORDER) == want, subset
-    print(f"PASS 05b: the closed-form recurrences match series arithmetic, n <= {MAX_ORDER}")
 
 
 def test_06_cycle_class_bijects_onto_smaller_set_partitions():
