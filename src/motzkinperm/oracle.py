@@ -70,9 +70,9 @@ def distribution(
 
         _walk_class(n, subset, add)
     acc: dict[tuple[int, ...], int] = {}
-    for exps, count in tally.items():
+    for exps, mult in tally.items():
         key = tuple(e * m for e, m in zip(exps, mask))
-        acc[key] = acc.get(key, 0) + count
+        acc[key] = acc.get(key, 0) + mult
     return MultiPoly(acc)
 
 
