@@ -6,8 +6,9 @@ counting inversions.  It assumes a valid permutation;
 :func:`motzkinperm.perms.stats` is the checked entry point.
 :func:`prefix_walk` walks the one-line prefixes of S_n depth first (Knuth,
 TAOCP 4A, 7.2.1.2), updating all five statistics in O(1) per placed entry and
-skipping every prefix a class's prefix test rules out; :func:`census_stats`
-tallies it over the whole group.
+skipping every placement a class's rule refuses; the rules are exact, so it
+reaches the class's members and nothing else.  :func:`census_stats` tallies
+it over the whole group.
 ``BACKEND`` names the kernel that runs; the benchmark probe reads it.
 """
 
@@ -52,7 +53,7 @@ def stat_tuple(values):
 
 
 class Prefix:
-    """What a prefix test sees of the permutation being built.
+    """What a membership rule sees of the permutation being built.
 
     When the walk tries value v at position i, ``values[j]`` is pi(j) for
     1 <= j < i (``values[0]`` is padding), ``unused`` lists the values not yet
@@ -61,7 +62,8 @@ class Prefix:
     pi(j) -> ...; ``head[t]`` is the first element of the chain that ends at
     t and ``tail[h]`` the last of the chain that starts at h, so ``head[i] !=
     i`` exactly when i is already some earlier pi(j), and placing v = head[i]
-    closes a cycle.
+    closes a cycle.  :meth:`place` makes one placement for good, as
+    :func:`motzkinperm.subsets.is_member` replays a permutation.
     """
 
     __slots__ = ("values", "unused", "top", "head", "tail")
@@ -73,6 +75,17 @@ class Prefix:
         self.head = list(range(n + 1))
         self.tail = list(range(n + 1))
 
+    def place(self, i: int, v: int) -> None:
+        """Set pi(i) = v after pi(1..i-1), joining chains as the walk does, in O(n)."""
+        self.values[i] = v
+        self.unused.remove(v)
+        if v > self.top:
+            self.top = v
+        h = self.head[i]
+        if v != h:
+            t = self.tail[v]
+            self.head[t], self.tail[h] = h, t
+
 
 def prefix_walk(n, visit, prefix_ok=None):
     """Call ``visit(values, stats)`` on each permutation of S_n, in lexicographic order.
@@ -83,8 +96,8 @@ def prefix_walk(n, visit, prefix_ok=None):
     v = i, an excedance if v > i, a double excedance j < i < v if i is
     already some earlier pi(j), and one inversion per unused value below v.
     With ``prefix_ok(prefix, i, v)`` given, a value is tried only where it
-    returns True for the :class:`Prefix` view, so whole subtrees are skipped;
-    it must hold on every prefix of every permutation the caller wants.
+    returns True for the :class:`Prefix` view, so whole subtrees are skipped
+    and ``visit`` sees exactly the permutations whose every placement passes.
     ``values`` is the list of the view, 1-based and reused: copy what you keep.
     """
     if n < 0:

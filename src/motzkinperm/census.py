@@ -22,7 +22,6 @@ from .oracle import (
     count,
     distribution,
     members,
-    sweep_counts,
 )
 from .paths import enumerate_paths, path_to_perm, perm_to_path
 from .perms import random_permutation, stats
@@ -162,29 +161,22 @@ def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
 
 
 def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
-    """Counts of every class: one sweep per size up to 9, where every class
-    can be enumerated, then each class on its own up to its own cap."""
+    """Counts of every class, each up to its own cap."""
     failures: list[str] = []
     top = min(max_n, max(s.spec.brute_cap for s in SubsetId))
     series = {subset: scheme_for(subset, "").counts(top) for subset in SubsetId}
     closed = {subset: closed_form_counts(subset, top) for subset in SubsetId}
     for n in range(top + 1):
-        if n <= MAX_BRUTE_N:
-            counted = sweep_counts(n)
-        else:
-            counted = {s: count(n, s) for s in SubsetId if n <= s.spec.brute_cap}
-        for subset in counted:
-            if series[subset][n] != counted[subset]:
-                failures.append(
-                    f"{subset.value} fraction says {series[subset][n]} at n={n}, "
-                    f"enumeration says {counted[subset]}"
-                )
-            formula = closed[subset]
-            if formula is not None and formula[n] != counted[subset]:
-                failures.append(
-                    f"{subset.value} closed form says {formula[n]} at n={n}, "
-                    f"enumeration says {counted[subset]}"
-                )
+        for subset in SubsetId:
+            if n > subset.spec.brute_cap:
+                continue
+            counted = count(n, subset)
+            for source, want in (("fraction", series[subset]), ("closed form", closed[subset])):
+                if want is not None and want[n] != counted:
+                    failures.append(
+                        f"{subset.value} {source} says {want[n]} at n={n}, "
+                        f"enumeration says {counted}"
+                    )
     return failures
 
 

@@ -1,14 +1,14 @@
 """Brute-force census over permutation classes.
 
 Ground truth for everything the continued fractions claim: enumerate the
-permutations, classify each one, and sum statistic monomials directly.  One
-depth-first prefix walk (:func:`motzkinperm._kernels.prefix_walk`) does the
-enumerating.  It carries the statistics as it goes and skips every prefix
-the class's prefix test rules out, then checks each permutation it reaches
-against the class's full predicates.  Cost still grows fast with the size,
+class members and sum statistic monomials directly.  One depth-first prefix
+walk (:func:`motzkinperm._kernels.prefix_walk`) does the enumerating.  It
+carries the statistics as it goes and skips every placement the class's
+rules refuse; the rules are exact, so every permutation it reaches is a
+member and none is checked again.  Cost still grows fast with the size,
 so each class has a cap (:attr:`motzkinperm.subsets.ClassSpec.brute_cap`):
-:data:`MAX_BRUTE_N` = 9 for the whole symmetric group, more where the prefix
-test prunes hard.  The point is exact cross-checks at small n, not scale.
+:data:`MAX_BRUTE_N` = 9 for the whole symmetric group, more where the rules
+prune hard.  The point is exact cross-checks at small n, not scale.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from typing import Iterable, Iterator
 from . import _kernels
 from .perms import count_consecutive_123
 from .polys import VARS, MultiPoly, check_marks
-from .subsets import MAX_BRUTE_N, PREFIX_TESTS, SubsetId
+from .subsets import MAX_BRUTE_N, SubsetId
 
 
 def _check_size(n: int, cap: int = MAX_BRUTE_N) -> None:
+    if not isinstance(n, int):
+        raise ValueError(f"size must be an int, got {n!r}")
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n > cap:
@@ -32,17 +34,12 @@ def _check_size(n: int, cap: int = MAX_BRUTE_N) -> None:
 
 
 def _walk_class(n: int, subset: SubsetId, visit) -> None:
-    """Call ``visit(values, stats)`` on each member of size n, in lexicographic order."""
+    """Call ``visit(values, stats)`` on each member of size n, in lexicographic
+    order; ``values`` is the walk's 1-based list, reused."""
     spec = subset.spec
     _check_size(n, spec.brute_cap)
-    requires = spec.requires
-
-    def leaf(values, stats):
-        full = tuple(values[1:])
-        if all(p(full) for p in requires):
-            visit(full, stats)
-
-    _kernels.prefix_walk(n, leaf, spec.prefix_ok)
+    if n or not spec.elevated:
+        _kernels.prefix_walk(n, visit, spec.prefix_ok)
 
 
 def distribution(
@@ -60,7 +57,6 @@ def distribution(
 
     if subset is SubsetId.ALL:
         _check_size(n)
-        # every permutation is a member: no predicate to run at the leaves
         tally = _kernels.census_stats(n)
     else:
         tally = {}
@@ -78,9 +74,6 @@ def distribution(
 
 def count(n: int, subset: SubsetId) -> int:
     """Number of class members of size n, by enumeration."""
-    if subset is SubsetId.ALL:
-        _check_size(n)
-        return sum(_kernels.census_stats(n).values())
     total = 0
 
     def add(values, stats):
@@ -94,53 +87,14 @@ def count(n: int, subset: SubsetId) -> int:
 def members(n: int, subset: SubsetId) -> Iterator[tuple[int, ...]]:
     """The class members of size n, in lexicographic order."""
     found: list[tuple[int, ...]] = []
-    _walk_class(n, subset, lambda values, stats: found.append(values))
+    _walk_class(n, subset, lambda values, stats: found.append(tuple(values[1:])))
     return iter(found)
 
 
 def sweep_counts(n: int) -> dict[SubsetId, int]:
-    """Cardinality of every supported class at size n.
-
-    All is counted by the unpruned walk.  The other classes share one walk
-    that keeps, as a bit mask per depth, the base predicates whose prefix
-    tests every prefix so far has passed and that belong to a class all of
-    whose predicates did; it goes deeper only while that mask is not empty.
-    At each permutation reached, each predicate left in the mask runs once.
-    """
+    """Cardinality of every supported class at size n."""
     _check_size(n)
-    counts = {subset: 0 for subset in SubsetId}
-    counts[SubsetId.ALL] = count(n, SubsetId.ALL)
-    predicates = list({p: None for s in SubsetId for p in s.spec.requires})
-    bit = {p: 1 << k for k, p in enumerate(predicates)}
-    tests = [(bit[p], PREFIX_TESTS[p]) for p in predicates]
-    needs = [(s, sum(bit[p] for p in s.spec.requires)) for s in SubsetId if s.spec.requires]
-    live = [(1 << len(predicates)) - 1] * (n + 2)  # live[i]: the mask for pi(1..i-1)
-    useful: dict[int, int] = {}  # passed tests -> the bits of the classes they hold whole
-
-    def prefix_ok(prefix, i, v):
-        was, passed = live[i], 0
-        for b, test in tests:
-            if was & b and test(prefix, i, v):
-                passed |= b
-        keep = useful.get(passed)
-        if keep is None:
-            keep = 0
-            for _, need in needs:
-                if passed & need == need:
-                    keep |= need
-            useful[passed] = keep
-        live[i + 1] = keep
-        return keep != 0
-
-    def leaf(values, stats):
-        full = tuple(values[1:])
-        holds = sum(bit[p] for p in predicates if live[n + 1] & bit[p] and p(full))
-        for subset, need in needs:
-            if holds & need == need:
-                counts[subset] += 1
-
-    _kernels.prefix_walk(n, leaf, prefix_ok)
-    return counts
+    return {subset: count(n, subset) for subset in SubsetId}
 
 
 def consecutive_123_distribution(n: int) -> MultiPoly:

@@ -343,11 +343,6 @@ class Pattern:
 
         return extend(0, 1)
 
-    def avoided_by(self, values: Sequence[int]) -> bool:
-        """No occurrence anywhere in the one-line ``values``."""
-        padded = (0, *values)
-        return not any(self.ends_at(padded, i, padded[i]) for i in range(1, len(padded)))
-
 
 def random_permutation(n: int, rng) -> tuple[int, ...]:
     """Uniform permutation from a seeded generator (Fisher-Yates)."""

@@ -1,13 +1,14 @@
 """The permutation classes under study, one record per class.
 
-Each class is a conjunction of base membership predicates together with the
+Each class is a conjunction of base membership conditions together with the
 step weights its members induce on colored Motzkin paths and, where one is
 known, a closed form for its counts; :data:`CLASSES` holds one
 :class:`ClassSpec` per :class:`SubsetId`, and adding a class means adding one
-record there.  Every predicate reads the one-line values directly and keeps
-no state between calls.  The diagram-defined Noncrossing class is one such
-conjunction too: an upper bounce of the diagram is a double excedance and a
-down step a cyclic peak, so its members are the unimodal noncrossing
+record there.  Each condition is defined once, as an exact rule on the
+placements pi(i) = v made in order, so :func:`is_member` and the brute-force
+walk ask the same rules and nothing is re-checked at a leaf.  Noncrossing is
+such a conjunction too: an upper bounce of the diagram is a double excedance
+and a down step a cyclic peak, so its members are the unimodal noncrossing
 permutations with no double excedance.
 """
 
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Callable, Sequence
 
-from .perms import _require_permutation, cycle_list
+from ._kernels import Prefix
+from .perms import _require_permutation
 from .sequences import (
     bell_numbers,
     catalan_numbers,
@@ -29,7 +32,7 @@ from .sequences import (
     ogf_increasing_exc_def_counts,
 )
 
-# The largest size a brute-force enumeration without a prefix test may reach:
+# The largest size a brute-force enumeration without a rule may reach:
 # 9! = 362,880 permutations.
 MAX_BRUTE_N = 9
 
@@ -66,229 +69,104 @@ class SubsetId(enum.Enum):
         return CLASSES[self]
 
 
-def is_cyclic(values: Sequence[int]) -> bool:
-    """Single cycle through every element (the empty permutation is not)."""
-    n = len(values)
-    j = 1
-    for length in range(1, n + 1):
-        j = values[j - 1]
-        if j == 1:
-            return length == n
-    return False
-
-
-def avoids_321(values: Sequence[int]) -> bool:
-    """No falling triple: no i < j < k with pi(i) > pi(j) > pi(k)."""
-    n = len(values)
-    if n < 3:
-        return True
-    # pi(j) is the middle of a falling triple iff something larger precedes it
-    # and something smaller follows it.
-    suffix_min = [0] * (n + 1)
-    suffix_min[n] = n + 1
-    for j in range(n - 1, -1, -1):
-        suffix_min[j] = min(values[j], suffix_min[j + 1])
-    prefix_max = 0
-    for j in range(n):
-        if prefix_max > values[j] > suffix_min[j + 1]:
-            return False
-        prefix_max = max(prefix_max, values[j])
-    return True
-
-
-def _increasing(seq: list[int]) -> bool:
-    return all(a < b for a, b in zip(seq, seq[1:]))
-
-
-def has_increasing_excedance_values(values: Sequence[int]) -> bool:
-    return _increasing([v for i, v in enumerate(values, 1) if v > i])
-
-
-def has_increasing_weak_excedance_values(values: Sequence[int]) -> bool:
-    return _increasing([v for i, v in enumerate(values, 1) if v >= i])
-
-
-def has_increasing_deficiency_values(values: Sequence[int]) -> bool:
-    return _increasing([v for i, v in enumerate(values, 1) if v < i])
-
-
-def has_unimodal_cycles(values: Sequence[int]) -> bool:
-    """Every cycle, read from its minimum, rises and then falls.
-
-    A cycle of length >= 2 has a cyclic peak v = pi(i) with i < v > pi(v) at
-    its maximum, and is unimodal iff that is its only one: the peaks number
-    the cycles minus the fixed points.
-    """
-    seen = bytearray(len(values) + 1)
-    surplus = 0  # cyclic peaks so far, less the cycles of length >= 2 begun
-    for i, v in enumerate(values, 1):
-        if i < v > values[v - 1]:
-            surplus += 1
-        if not seen[i]:  # i is the minimum of a cycle not yet walked
-            surplus -= v != i
-            seen[i] = 1
-            while not seen[v]:
-                seen[v] = 1
-                v = values[v - 1]
-    return surplus == 0
-
-
-def has_noncrossing_cycles(values: Sequence[int]) -> bool:
-    """The set partition induced by the cycles is noncrossing."""
-    n = len(values)
-    block_of = [0] * (n + 1)
-    mins = {}
-    maxs = {}
-    for b, cyc in enumerate(cycle_list(values)):
-        for i in cyc:
-            block_of[i] = b
-        mins[b] = min(cyc)
-        maxs[b] = max(cyc)
-    stack: list[int] = []
-    for i in range(1, n + 1):
-        b = block_of[i]
-        if i == mins[b]:
-            stack.append(b)
-        if stack[-1] != b:
-            return False
-        if i == maxs[b]:
-            stack.pop()
-    return True
-
-
-def has_no_nested_fixed_point(values: Sequence[int]) -> bool:
-    """No fixed point j sits under an arc: i < j < k with pi(i)=k or pi(k)=i."""
-    n = len(values)
-    prefix_max = 0
-    suffix_min = [0] * (n + 2)
-    suffix_min[n + 1] = n + 1
-    for i in range(n, 0, -1):
-        suffix_min[i] = min(values[i - 1], suffix_min[i + 1])
-    for j in range(1, n + 1):
-        v = values[j - 1]
-        if v == j and (prefix_max > j or suffix_min[j + 1] < j):
-            return False
-        prefix_max = max(prefix_max, v)
-    return True
-
-
-def has_no_double_excedance(values: Sequence[int]) -> bool:
-    """No i < pi(i) < pi(pi(i)): no upper bounce in the diagram."""
-    return not any(i < v < values[v - 1] for i, v in enumerate(values, 1))
-
-
-def has_no_double_excedance_or_deficiency(values: Sequence[int]) -> bool:
-    """No double excedance and no i > pi(i) > pi(pi(i))."""
-    return has_no_double_excedance(values) and not any(
-        i > v > values[v - 1] for i, v in enumerate(values, 1)
-    )
-
-
-def is_involution(values: Sequence[int]) -> bool:
-    return all(values[v - 1] == i for i, v in enumerate(values, 1))
-
-
-# -- prefix tests -------------------------------------------------------------
+# -- membership rules ---------------------------------------------------------
 #
-# Each base predicate has a test ``(prefix, i, v)`` that the brute-force walk
-# runs before it places pi(i) = v after the prefix pi(1..i-1), seen through a
-# :class:`motzkinperm._kernels.Prefix`.  A test is only a necessary condition
-# for the prefix to extend to a permutation the predicate accepts: the walk
-# still checks every full permutation, so a weak test costs time, never
-# correctness, while one that rejects a member would lose it.
+# Each base condition is one rule ``(prefix, i, v)``: may pi(i) = v follow the
+# prefix pi(1..i-1), seen through a :class:`motzkinperm._kernels.Prefix`?  A
+# permutation of size n >= 1 satisfies the condition iff each of its n
+# placements passes.  Each docstring says why a member passes every placement
+# and where a non-member fails.
 
 
-def _cyclic_prefix(prefix, i, v):
-    """A cycle may close only at the last position."""
+def is_cyclic(prefix, i, v):
+    """One cycle: a cycle closes (v = head[i]) only at the last position, where
+    the last placement always closes one; any earlier close leaves a second."""
     return v != prefix.head[i] or i == len(prefix.values) - 1
 
 
-def _avoids_321_prefix(prefix, i, v):
-    """Below the running maximum only the smallest unused value can come:
-    anything above it would end a falling triple with the maximum."""
+def avoids_321(prefix, i, v):
+    """No pi(i) > pi(j) > pi(k) with i < j < k: below the running maximum only
+    the smallest unused value may come, any other being the middle of such a
+    triple; and a triple's middle falls below the maximum, its end unused."""
     return v > prefix.top or v == prefix.unused[0]
 
 
-def _increasing_excedance_prefix(prefix, i, v):
-    """Every placed value above i is an excedance value, so a new one must top them."""
+def has_increasing_excedance_values(prefix, i, v):
+    """The values pi(i) > i increase: a new one tops the running maximum, which
+    is an excedance value unless it is i - 1 < v; a later excedance value
+    below an earlier one fails where it is placed."""
     return v <= i or v > prefix.top
 
 
-def _increasing_weak_excedance_prefix(prefix, i, v):
+def has_increasing_weak_excedance_values(prefix, i, v):
+    """The values pi(i) >= i increase: likewise, and the running maximum of
+    i - 1 values is always a weak excedance value."""
     return v < i or v > prefix.top
 
 
-def _increasing_deficiency_prefix(prefix, i, v):
-    """A smaller unused value would later become a smaller deficiency value."""
+def has_increasing_deficiency_values(prefix, i, v):
+    """The values pi(i) < i increase: each is the smallest unused value, as an
+    unused u < v would later be a smaller one; and the first of two out of
+    order sees the second unused below it."""
     return v >= i or v == prefix.unused[0]
 
 
-def _unimodal_cycles_prefix(prefix, i, v):
-    """A cyclic peak at i (reached from below, left downward) must close its
-    cycle: otherwise the cycle's maximum, still to come, is a second peak."""
+def has_unimodal_cycles(prefix, i, v):
+    """Every cycle, read from its minimum, rises and then falls: its only cyclic
+    peak (pi^-1(i) < i > pi(i)) is its maximum, which closes it.  A peak below
+    the maximum cannot close the cycle, and so fails."""
     h = prefix.head[i]
     return v >= i or h == i or v == h
 
 
-def _noncrossing_cycles_prefix(prefix, i, v):
-    """When the cycle through i closes, every other entry strictly between its
-    minimum and i must map into the same gap between its consecutive elements."""
+def has_noncrossing_cycles(prefix, i, v):
+    """The set partition induced by the cycles is noncrossing.
+
+    A cycle closes at its maximum i.  Then no element of it may lie between x
+    and pi(x), for any other x strictly between its minimum and i: x's cycle
+    stays in x's gap of this one unless the two cross.  Of two crossing
+    cycles, the other enters the span of the first to close and leaves the
+    gap it entered from an entry placed by then.
+    """
     if v != prefix.head[i] or v == i:
         return True
     values = prefix.values
-    gap_of = [-1] * len(values)  # -1 off the span, 0 on the cycle, else 1 + the gap
-    gap_of[i] = 0
-    low = u = v
-    while u != i:
-        gap_of[u] = 0
-        if u < low:
-            low = u
-        u = values[u]
-    gap = 1
-    for x in range(low + 1, i):
-        if gap_of[x]:
-            gap_of[x] = gap
-        else:
-            gap += 1
-    return all(gap_of[values[x]] == gap_of[x] for x in range(low + 1, i) if gap_of[x])
+    on_cycle = bytearray(len(values))
+    on_cycle[i] = 1
+    while v != i:
+        on_cycle[v] = 1
+        v = values[v]
+    upto = list(accumulate(on_cycle))  # upto[y]: elements of the cycle <= y
+    low = on_cycle.index(1)
+    return all(upto[values[x]] == upto[x] for x in range(low + 1, i) if not on_cycle[x])
 
 
-def _no_nested_fixed_point_prefix(prefix, i, v):
-    """A fixed point i needs 1..i-1 placed before it, and so below it."""
+def has_no_nested_fixed_point(prefix, i, v):
+    """No fixed point under an arc: a fixed point i is under none exactly when
+    pi(1..i-1) is 1..i-1, that is, when i is the smallest unused value."""
     return v != i or v == prefix.unused[0]
 
 
-def _no_double_excedance_prefix(prefix, i, v):
-    """If i is already some earlier pi(j), pi(i) > i would finish j < i < pi(i)."""
+def has_no_double_excedance(prefix, i, v):
+    """No j < pi(j) < pi(pi(j)): one is finished exactly where i = pi(j) is
+    already placed (head[i] != i) and pi(i) > i."""
     return v <= i or prefix.head[i] == i
 
 
-def _no_double_excedance_or_deficiency_prefix(prefix, i, v):
-    if v < i:  # pi(v) is placed: i > v > pi(v) is a double deficiency
+def has_no_double_excedance_or_deficiency(prefix, i, v):
+    """No double excedance and no i > pi(i) > pi(pi(i)), which is finished
+    where pi(i) is placed, pi(pi(i)) being placed before."""
+    if v < i:
         return prefix.values[v] > v
-    return v == i or prefix.head[i] == i
+    return has_no_double_excedance(prefix, i, v)
 
 
-def _involution_prefix(prefix, i, v):
-    """If i is already pi(j), that j heads the chain j -> i and pi(i) must be j;
-    otherwise pi(i) < i would leave pi(pi(i)), already placed, unequal to i."""
+def is_involution(prefix, i, v):
+    """pi(pi(i)) = i: if i is already pi(j), pi(i) must be j = head[i];
+    otherwise pi(i) < i would already have pi(pi(i)) != i.  Passing prefixes
+    hold fixed points, 2-cycles and arcs j -> i that only pi(i) = j closes."""
     h = prefix.head[i]
     return v == h if h != i else v >= i
-
-
-PREFIX_TESTS: dict[Callable[[Sequence[int]], bool], Callable[..., bool]] = {
-    is_cyclic: _cyclic_prefix,
-    avoids_321: _avoids_321_prefix,
-    has_increasing_excedance_values: _increasing_excedance_prefix,
-    has_increasing_weak_excedance_values: _increasing_weak_excedance_prefix,
-    has_increasing_deficiency_values: _increasing_deficiency_prefix,
-    has_unimodal_cycles: _unimodal_cycles_prefix,
-    has_noncrossing_cycles: _noncrossing_cycles_prefix,
-    has_no_nested_fixed_point: _no_nested_fixed_point_prefix,
-    has_no_double_excedance: _no_double_excedance_prefix,
-    has_no_double_excedance_or_deficiency: _no_double_excedance_or_deficiency_prefix,
-    is_involution: _involution_prefix,
-}
 
 
 def _qbracket(q, h: int):
@@ -300,21 +178,20 @@ def _qbracket(q, h: int):
 class ClassSpec:
     """One permutation class: membership, path step weights and closed form.
 
-    ``requires`` is a conjunction of base predicates on the one-line values;
-    :attr:`prefix_ok` joins their prefix tests for the brute-force walk, and
-    ``brute_cap`` is the largest size that walk may enumerate: 9 without a
-    prefix test, else the largest n it counts in about 10 s.  The time noted
-    beside each cap is the CPU time of ``oracle.count`` at the cap (pure
+    ``requires`` is a conjunction of the membership rules above, and
+    :attr:`prefix_ok` joins them.  ``brute_cap`` is the largest size the walk
+    may enumerate: 9 without a rule, else the largest n it counts in about
+    10 s; beside each cap is the CPU time of ``oracle.count`` there (pure
     Python 3.11.7 on a 2-core x86-64 virtual machine).
     ``down(h, x, v, w, t, q)`` is the total weight of a down step falling
     from height h >= 1, and ``level(h, x, v, w, t, q)`` returns the level
     weights at height h split as (fixed, upper bounce, lower bounce); markers
     outside ``marks`` are passed as 1.  Elevated classes count paths whose
-    interior stays above height 0.  ``closed(n)`` gives the counts for sizes
-    0..n, or is None when the class has no closed form.
+    interior stays above height 0: the single-cycle classes, with no member
+    of size 0.  ``closed(n)`` gives the counts for sizes 0..n, or None.
     """
 
-    requires: tuple[Callable[[Sequence[int]], bool], ...]
+    requires: tuple[Callable[..., bool], ...]
     marks: str
     down: Callable[..., object]
     level: Callable[..., tuple]
@@ -324,8 +201,8 @@ class ClassSpec:
 
     @property
     def prefix_ok(self) -> Callable[..., bool] | None:
-        """The prefix tests of ``requires`` as one test; None when it is empty."""
-        tests = tuple(PREFIX_TESTS[p] for p in self.requires)
+        """The rules of ``requires`` as one rule; None when there are none."""
+        tests = self.requires
         if len(tests) <= 1:
             return tests[0] if tests else None
 
@@ -466,6 +343,17 @@ CLASSES: dict[SubsetId, ClassSpec] = {
 
 
 def is_member(values: Sequence[int], subset: SubsetId) -> bool:
-    """Whether ``values`` lies in the class; ValueError unless it is a permutation."""
+    """Whether ``values`` lies in the class; ValueError unless it is a permutation.
+
+    Each value is put to the class's rules as the walk would place it.
+    """
     values = _require_permutation(values)
-    return all(p(values) for p in subset.spec.requires)
+    spec = subset.spec
+    rule = spec.prefix_ok
+    if rule is not None:
+        prefix = Prefix(len(values))
+        for i, v in enumerate(values, 1):
+            if not rule(prefix, i, v):
+                return False
+            prefix.place(i, v)
+    return bool(values) or not spec.elevated

@@ -115,6 +115,162 @@ def prefix_view(prefix: Sequence[int], n: int) -> Prefix:
     return view
 
 
+# -- one-pass membership references -------------------------------------------
+#
+# The whole-permutation form of each base condition in ``subsets``, under the
+# same name, to check the prefix rules against.
+
+
+def is_cyclic(values: Sequence[int]) -> bool:
+    """Single cycle through every element (the empty permutation is not)."""
+    n = len(values)
+    j = 1
+    for length in range(1, n + 1):
+        j = values[j - 1]
+        if j == 1:
+            return length == n
+    return False
+
+
+def avoids_321(values: Sequence[int]) -> bool:
+    """No falling triple: no i < j < k with pi(i) > pi(j) > pi(k)."""
+    n = len(values)
+    if n < 3:
+        return True
+    # pi(j) is the middle of a falling triple iff something larger precedes it
+    # and something smaller follows it.
+    suffix_min = [0] * (n + 1)
+    suffix_min[n] = n + 1
+    for j in range(n - 1, -1, -1):
+        suffix_min[j] = min(values[j], suffix_min[j + 1])
+    prefix_max = 0
+    for j in range(n):
+        if prefix_max > values[j] > suffix_min[j + 1]:
+            return False
+        prefix_max = max(prefix_max, values[j])
+    return True
+
+
+def _increasing(seq: list[int]) -> bool:
+    return all(a < b for a, b in zip(seq, seq[1:]))
+
+
+def has_increasing_excedance_values(values: Sequence[int]) -> bool:
+    return _increasing([v for i, v in enumerate(values, 1) if v > i])
+
+
+def has_increasing_weak_excedance_values(values: Sequence[int]) -> bool:
+    return _increasing([v for i, v in enumerate(values, 1) if v >= i])
+
+
+def has_increasing_deficiency_values(values: Sequence[int]) -> bool:
+    return _increasing([v for i, v in enumerate(values, 1) if v < i])
+
+
+def has_unimodal_cycles(values: Sequence[int]) -> bool:
+    """Every cycle, read from its minimum, rises and then falls.
+
+    A cycle of length >= 2 has a cyclic peak v = pi(i) with i < v > pi(v) at
+    its maximum, and is unimodal iff that is its only one: the peaks number
+    the cycles minus the fixed points.
+    """
+    seen = bytearray(len(values) + 1)
+    surplus = 0  # cyclic peaks so far, less the cycles of length >= 2 begun
+    for i, v in enumerate(values, 1):
+        if i < v > values[v - 1]:
+            surplus += 1
+        if not seen[i]:  # i is the minimum of a cycle not yet walked
+            surplus -= v != i
+            seen[i] = 1
+            while not seen[v]:
+                seen[v] = 1
+                v = values[v - 1]
+    return surplus == 0
+
+
+def has_noncrossing_cycles(values: Sequence[int]) -> bool:
+    """The set partition induced by the cycles is noncrossing."""
+    n = len(values)
+    block_of = [0] * (n + 1)
+    mins = {}
+    maxs = {}
+    for b, cyc in enumerate(cycle_list(values)):
+        for i in cyc:
+            block_of[i] = b
+        mins[b] = min(cyc)
+        maxs[b] = max(cyc)
+    stack: list[int] = []
+    for i in range(1, n + 1):
+        b = block_of[i]
+        if i == mins[b]:
+            stack.append(b)
+        if stack[-1] != b:
+            return False
+        if i == maxs[b]:
+            stack.pop()
+    return True
+
+
+def has_no_nested_fixed_point(values: Sequence[int]) -> bool:
+    """No fixed point j sits under an arc: i < j < k with pi(i)=k or pi(k)=i."""
+    n = len(values)
+    prefix_max = 0
+    suffix_min = [0] * (n + 2)
+    suffix_min[n + 1] = n + 1
+    for i in range(n, 0, -1):
+        suffix_min[i] = min(values[i - 1], suffix_min[i + 1])
+    for j in range(1, n + 1):
+        v = values[j - 1]
+        if v == j and (prefix_max > j or suffix_min[j + 1] < j):
+            return False
+        prefix_max = max(prefix_max, v)
+    return True
+
+
+def has_no_double_excedance(values: Sequence[int]) -> bool:
+    """No i < pi(i) < pi(pi(i)): no upper bounce in the diagram."""
+    return not any(i < v < values[v - 1] for i, v in enumerate(values, 1))
+
+
+def has_no_double_excedance_or_deficiency(values: Sequence[int]) -> bool:
+    """No double excedance and no i > pi(i) > pi(pi(i))."""
+    return has_no_double_excedance(values) and not any(
+        i > v > values[v - 1] for i, v in enumerate(values, 1)
+    )
+
+
+def is_involution(values: Sequence[int]) -> bool:
+    return all(values[v - 1] == i for i, v in enumerate(values, 1))
+
+
+ONE_PASS = {
+    f.__name__: f
+    for f in (
+        is_cyclic,
+        avoids_321,
+        has_increasing_excedance_values,
+        has_increasing_weak_excedance_values,
+        has_increasing_deficiency_values,
+        has_unimodal_cycles,
+        has_noncrossing_cycles,
+        has_no_nested_fixed_point,
+        has_no_double_excedance,
+        has_no_double_excedance_or_deficiency,
+        is_involution,
+    )
+}
+
+
+def one_pass(rule):
+    """The one-pass reference for a rule of ``subsets``, found by its name."""
+    return ONE_PASS[rule.__name__]
+
+
+def in_class(values: Sequence[int], subset) -> bool:
+    """Membership by the one-pass references of the class's rules."""
+    return all(one_pass(rule)(values) for rule in subset.spec.requires)
+
+
 def motzkin_numbers(n_max: int) -> list[int]:
     out = [1]
     for n in range(1, n_max + 1):

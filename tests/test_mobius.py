@@ -59,6 +59,9 @@ def test_brute_count_is_capped_before_enumerating(monkeypatch):
     for n in (BRUTE_CAP + 1, 15):
         with pytest.raises(ValueError, match="the cap is"):
             brute_count(FAMILIES[0], n)
+    for n in (6.0, 2.5, "6", None):
+        with pytest.raises(ValueError, match="an int n >= 2"):
+            brute_count(FAMILIES[0], n)
 
 
 def test_brute_count_matches_the_subsequence_scan_over_all_cycles():

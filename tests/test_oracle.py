@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import pytest
 
 import motzkinperm._kernels
-from motzkinperm import perms, subsets
+from motzkinperm import perms
 from motzkinperm.bell import set_partitions
 from motzkinperm.oracle import (
     MAX_BRUTE_N,
@@ -18,12 +19,12 @@ from motzkinperm.oracle import (
     members,
     sweep_counts,
 )
-from motzkinperm.perms import count_consecutive_123, stats
+from motzkinperm.perms import count_consecutive_123, cycle_list, stats
 from motzkinperm.polys import MultiPoly
 from motzkinperm.subsets import SubsetId, is_member
 
 from conftest import all_perms
-from reference import variables_used
+from reference import one_pass, variables_used
 
 
 def test_distribution_matches_a_direct_tally():
@@ -67,20 +68,25 @@ def test_size_cap_is_enforced(monkeypatch):
                 call(cap + 1, subset)
             with pytest.raises(ValueError):
                 call(-1, subset)
-    with pytest.raises(ValueError, match="the cap is"):
-        sweep_counts(MAX_BRUTE_N + 1)
-    with pytest.raises(ValueError, match="the cap is"):
-        consecutive_123_distribution(MAX_BRUTE_N + 1)
+            for size in (2.5, "3", None):
+                with pytest.raises(ValueError, match="must be an int"):
+                    call(size, subset)
+    for call in (sweep_counts, consecutive_123_distribution):
+        with pytest.raises(ValueError, match="the cap is"):
+            call(MAX_BRUTE_N + 1)
+        for size in (-1, 2.5, "3", None):
+            with pytest.raises(ValueError):
+                call(size)
 
 
 def test_pruned_walk_yields_what_the_unpruned_filter_yields():
-    # each predicate runs once per permutation; every class keeps what passes all of its own
-    predicates = list({p: None for s in SubsetId for p in s.spec.requires})
+    # each reference runs once per permutation; every class keeps what passes all of its own
+    rules = list({rule: None for s in SubsetId for rule in s.spec.requires})
     classes_holding = {}
     for n in range(9):
         kept = {subset: [] for subset in SubsetId}
         for perm in itertools.permutations(range(1, n + 1)):
-            holds = frozenset(p for p in predicates if p(perm))
+            holds = frozenset(rule for rule in rules if one_pass(rule)(perm))
             if holds not in classes_holding:
                 classes_holding[holds] = [s for s in SubsetId if holds.issuperset(s.spec.requires)]
             for subset in classes_holding[holds]:
@@ -99,32 +105,37 @@ def test_sweep_counts_matches_membership_filters():
             assert counts[subset] == direct
 
 
-def test_sweep_decomposes_each_permutation_into_cycles_at_most_once(monkeypatch):
-    want = sweep_counts(5)
+def _record_cycle_lists(monkeypatch):
+    """Count the calls of ``cycle_list`` under every name the package gives it."""
     calls = []
 
     def counting_cycle_list(values):
         calls.append(tuple(values))
-        return perms.cycle_list(values)
+        return cycle_list(values)
 
-    monkeypatch.setattr(subsets, "cycle_list", counting_cycle_list)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "motzkinperm" and getattr(module, "cycle_list", None) is cycle_list:
+            monkeypatch.setattr(module, "cycle_list", counting_cycle_list)
+    return calls
+
+
+def test_sweep_decomposes_each_permutation_into_cycles_at_most_once(monkeypatch):
+    # the rules follow chains of placed entries, so no cycle decomposition runs at all
+    want = sweep_counts(5)
+    calls = _record_cycle_lists(monkeypatch)
     assert sweep_counts(5) == want
-    assert 0 < len(calls) <= math.factorial(5)
-    assert len(set(calls)) == len(calls)
+    assert calls == []
 
 
 def test_members_decomposes_each_permutation_into_cycles_at_most_once(monkeypatch):
-    # UnimodalNoncrossing requires two cycle predicates; they share one decomposition
+    # UnimodalNoncrossing has two cycle rules; neither decomposes into cycles
     want = list(members(6, SubsetId.UNIMODAL_NONCROSSING))
-    calls = []
-
-    def counting_cycle_list(values):
-        calls.append(values)
-        return perms.cycle_list(values)
-
-    monkeypatch.setattr(subsets, "cycle_list", counting_cycle_list)
+    calls = _record_cycle_lists(monkeypatch)
     assert list(members(6, SubsetId.UNIMODAL_NONCROSSING)) == want
-    assert 0 < len(calls) <= math.factorial(6)
+    assert is_member((2, 1, 4, 3), SubsetId.UNIMODAL_NONCROSSING)
+    assert calls == []
+    perms.cycle_list((2, 1))  # the recorder itself sees a call
+    assert calls == [(2, 1)]
 
 
 def test_members_yields_exactly_the_subset():

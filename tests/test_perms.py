@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import doctest
+import itertools
 import math
 
 import pytest
 
-import motzkinperm.perms
 from motzkinperm.bell import cycle_to_path, weak_exc_partition
 from motzkinperm.paths import perm_to_path
 from motzkinperm.perms import (
@@ -25,7 +24,7 @@ from motzkinperm.perms import (
     stats,
 )
 from motzkinperm.oracle import members
-from motzkinperm.subsets import SubsetId, avoids_321
+from motzkinperm.subsets import SubsetId, is_member
 
 from conftest import all_perms
 from reference import (
@@ -34,12 +33,8 @@ from reference import (
     contains_classical,
     cyclic_permutations,
     left_to_right_minima,
+    rank_word,
 )
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(motzkinperm.perms)
-    assert failures == 0
 
 
 def test_inverse_involutive_and_correct():
@@ -201,13 +196,19 @@ def test_pattern_search_matches_the_subsequence_scan():
         search = Pattern(pattern)
         for n in range(7):
             for perm in all_perms(n):
-                assert search.avoided_by(perm) == avoids_classical(perm, pattern), (pattern, perm)
+                padded = (0, *perm)
+                for i in range(1, n + 1):
+                    want = any(
+                        rank_word((*combo, perm[i - 1])) == pattern
+                        for combo in itertools.combinations(perm[: i - 1], len(pattern) - 1)
+                    )
+                    assert search.ends_at(padded, i, perm[i - 1]) == want, (pattern, perm, i)
 
 
 def test_fast_321_avoidance_matches_the_classical_test():
     for n in range(8):
-        for perm in all_perms(min(n, 7)):
-            assert avoids_321(perm) == avoids_classical(perm, (3, 2, 1))
+        for perm in all_perms(n):
+            assert is_member(perm, SubsetId.AVOID321) == avoids_classical(perm, (3, 2, 1))
 
 
 def test_random_permutation_is_uniformly_supported(rng):
