@@ -63,10 +63,12 @@ class Prefix:
     t and ``tail[h]`` the last of the chain that starts at h, so ``head[i] !=
     i`` exactly when i is already some earlier pi(j), and placing v = head[i]
     closes a cycle.  :meth:`place` makes one placement for good, as
-    :func:`motzkinperm.subsets.is_member` replays a permutation.
+    :func:`motzkinperm.subsets.is_member` replays a permutation; after it
+    ``unused`` holds only the smallest value not yet placed (nothing once all
+    are), which is all of it the rules read.
     """
 
-    __slots__ = ("values", "unused", "top", "head", "tail")
+    __slots__ = ("values", "unused", "top", "head", "tail", "placed")
 
     def __init__(self, n: int) -> None:
         self.values = [0] * (n + 1)
@@ -74,11 +76,21 @@ class Prefix:
         self.top = 0
         self.head = list(range(n + 1))
         self.tail = list(range(n + 1))
+        self.placed = bytearray(n + 2)  # placed[n + 1] stays 0
 
     def place(self, i: int, v: int) -> None:
-        """Set pi(i) = v after pi(1..i-1), joining chains as the walk does, in O(n)."""
+        """Set pi(i) = v after pi(1..i-1), joining chains as the walk does.
+
+        The smallest unused value only rises, so the scan over ``placed`` that
+        finds it takes amortized O(1) per placement.
+        """
         self.values[i] = v
-        self.unused.remove(v)
+        placed = self.placed
+        placed[v] = 1
+        low = self.unused[0]
+        while placed[low]:
+            low += 1
+        self.unused = [low] if low < len(placed) - 1 else []
         if v > self.top:
             self.top = v
         h = self.head[i]

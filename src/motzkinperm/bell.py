@@ -19,21 +19,22 @@ partitions one size down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .paths import ColoredMotzkinPath, check_family, enumerate_paths
-from .perms import DiagonalType, Permutation, _DiagramState, _require_permutation, diagram_walk
+from .perms import (
+    DiagonalType, Permutation, _DiagramState, _Record, _require_permutation, diagram_walk,
+)
 from .subsets import SubsetId, is_member
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(_Record):
     """Blocks covering 1..n, each sorted, ordered by smallest element."""
 
+    __slots__ = ("blocks",)
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         seen: set[int] = set()
         for block in self.blocks:
             if not block:

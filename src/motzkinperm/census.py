@@ -10,8 +10,7 @@ package makes into one callable suite, which is what the command-line
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import bell, mobius
 from .cfrac import WeightScheme, jfraction_series
@@ -42,8 +41,7 @@ SOURCE_CLOSED = "ClosedForm"
 _SOURCE_TOKENS = {"bf": SOURCE_BRUTE, "cf": SOURCE_CFRAC, "closed": SOURCE_CLOSED}
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Per-size census values from several sources, with agreement flags."""
 
     subset: str
@@ -121,8 +119,7 @@ def census(
 # -- the self-check suite ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -274,10 +271,8 @@ def _check_reference_recoveries(max_n: int, rng: random.Random) -> list[str]:
 
 def _check_corrupted_scheme(max_n: int, rng: random.Random) -> list[str]:
     base = scheme_for(SubsetId.ALL, "")
-    bumped = WeightScheme(
-        name="All(corrupted)",
-        down=lambda h: base.down(h) + (1 if h == 1 else 0),
-        level=base.level,
+    bumped = base._replace(
+        name="All(corrupted)", down=lambda h: base.down(h) + (1 if h == 1 else 0)
     )
     report = census(SubsetId.ALL, 2, sources=("bf", "cf"), scheme=bumped)
     if report.passing:

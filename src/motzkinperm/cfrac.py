@@ -27,8 +27,7 @@ height order // 2 is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .polys import MultiPoly
 
@@ -87,15 +86,14 @@ def kfraction_series(
     return tuple(sums)
 
 
-@dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(NamedTuple):
     """Step weights for one permutation class: ``down(h)`` and ``level(h)``."""
 
     name: str
     down: Callable[[int], MultiPoly]
     level: Callable[[int], MultiPoly]
     elevated: bool = False
-    marks: frozenset = field(default_factory=frozenset)
+    marks: frozenset = frozenset()
 
     def series(self, order: int) -> tuple[MultiPoly, ...]:
         """Census polynomials c_0..c_order, for order up to MAX_ORDER."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
-from . import bell, mobius
+from . import __version__, bell, mobius
 from .census import (
     SOURCE_BRUTE,
     SOURCE_CFRAC,
@@ -115,10 +115,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 "perm": list(perm.values),
                 "path": path.to_text(),
                 "word": path.word,
-                "steps": [
-                    {"letter": st.letter, "height": st.height, "color": st.color}
-                    for st in path.steps
-                ],
+                "steps": [st._asdict() for st in path.steps],
             }
         )
     else:
@@ -143,26 +140,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     monomial = MultiPoly.monomial(vec.monomial_exponents())
     if args.json:
         _print_json(
-            {
-                "perm": list(perm.values),
-                "fixed_points": vec.fixed_points,
-                "excedances": vec.excedances,
-                "double_excedances": vec.double_excedances,
-                "cycles": vec.cycles,
-                "inversions": vec.inversions,
-                "word": word,
-                "monomial": str(monomial),
-            }
+            {"perm": list(perm.values), **vec._asdict(), "word": word, "monomial": str(monomial)}
         )
     else:
-        print(f"perm:              {perm.to_text()}")
-        print(f"fixed points:      {vec.fixed_points}")
-        print(f"excedances:        {vec.excedances}")
-        print(f"double excedances: {vec.double_excedances}")
-        print(f"cycles:            {vec.cycles}")
-        print(f"inversions:        {vec.inversions}")
-        print(f"word:              {word}")
-        print(f"monomial:          {monomial}")
+        rows = {"perm": perm.to_text(), **vec._asdict(), "word": word, "monomial": monomial}
+        for name, value in rows.items():
+            print(f"{name.replace('_', ' ') + ':':<19}{value}")
     return 0
 
 
@@ -307,10 +290,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             {
                 "n_max": args.n_max,
                 "seed": args.seed,
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
+                "checks": [r._asdict() for r in results],
                 "passed": not failed,
             }
         )
@@ -329,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="motzkinperm",
         description="Permutation statistics via colored Motzkin paths.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map", help="encode a permutation as a colored path")

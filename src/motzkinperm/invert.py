@@ -28,9 +28,8 @@ fractional weights rule one out at this depth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cfrac import jfraction_series
 
@@ -41,8 +40,7 @@ class RecoveryStatus(enum.Enum):
     FAILED = "Failed"
 
 
-@dataclass(frozen=True)
-class WeightRecovery:
+class WeightRecovery(NamedTuple):
     """Weights peeled from a prefix: ell[m] at level m, dee[m] falling to m."""
 
     ell: tuple[Fraction, ...]

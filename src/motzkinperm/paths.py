@@ -19,13 +19,13 @@ fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perms import (
     DiagonalType,
     Permutation,
     _DiagramState,
+    _Record,
     _require_permutation,
     diagram_walk,
 )
@@ -38,8 +38,7 @@ def standard_level_colors(h: int) -> int:
     return 2 * h + 1
 
 
-@dataclass(frozen=True)
-class ColoredStep:
+class ColoredStep(NamedTuple):
     """One step; ``height`` is the y-coordinate of the step's highest point."""
 
     letter: str
@@ -52,11 +51,13 @@ class ColoredStep:
         return f"{self.letter}{self.color}"
 
 
-@dataclass(frozen=True)
-class ColoredMotzkinPath:
+class ColoredMotzkinPath(_Record):
+    """A path of the standard family, checked by :func:`check_family` when built."""
+
+    __slots__ = ("steps",)
     steps: tuple[ColoredStep, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_family(self)
 
     @classmethod

@@ -19,8 +19,7 @@ colored path (see :mod:`motzkinperm.paths`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import _kernels
 
@@ -105,10 +104,50 @@ def classify_entries(values: Sequence[int]) -> tuple[tuple[DiagonalType, int], .
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DiagonalSequence:
+class _Record:
+    """Base of the records that wrap one field: slotted, immutable, checked when built.
+
+    A subclass names its field in ``__slots__`` and checks it in ``_check``.
+    A record equals only one of its own class with an equal field; pickle and
+    copy rebuild it through the constructor, which checks it again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, field) -> None:
+        object.__setattr__(self, self.__slots__[0], field)
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def _field(self):
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field() == other._field()
+
+    def __hash__(self) -> int:
+        return hash(self._field())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._field()!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self._field(),)
+
+
+class DiagonalSequence(_Record):
     """Typed diagonal walk of a permutation."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[DiagonalType, int], ...]
 
     @property
@@ -120,8 +159,7 @@ class DiagonalSequence:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RayChoice:
+class RayChoice(NamedTuple):
     """Which open rays a diagonal entry closed.
 
     ``j`` indexes open vertical rays left to right, ``k`` open horizontal rays
@@ -227,8 +265,7 @@ def diagram_walk(
         yield typ, h, choice
 
 
-@dataclass(frozen=True)
-class StatVector:
+class StatVector(NamedTuple):
     """The five statistics carried through every bijection in the package."""
 
     fixed_points: int
@@ -353,8 +390,7 @@ def random_permutation(n: int, rng) -> tuple[int, ...]:
     return tuple(vals)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """One-line-notation permutation of {1, ..., n}.
 
     >>> p = Permutation.parse("3 1 2")
@@ -364,9 +400,10 @@ class Permutation:
     'ULD'
     """
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require_permutation(self.values)
 
     @classmethod

@@ -15,10 +15,9 @@ permutations with no double excedance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._kernels import Prefix
 from .perms import _require_permutation
@@ -174,8 +173,7 @@ def _qbracket(q, h: int):
     return sum((q**i for i in range(h)), 0)
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple):
     """One permutation class: membership, path step weights and closed form.
 
     ``requires`` is a conjunction of the membership rules above, and

@@ -257,6 +257,63 @@ def test_census_json_csv_mutually_exclusive():
     assert excinfo.value.code == 2
 
 
+PACKAGE_PARENT = str(Path(motzkinperm.__file__).resolve().parents[1])
+
+
+def _project_table() -> dict:
+    """The ``[project]`` table of pyproject.toml."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
+def test_version_is_the_project_version(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    version = _project_table()["version"]
+    assert capsys.readouterr().out == f"motzkinperm {version}\n"
+    assert motzkinperm.__version__ == version
+
+
+def test_start_up_imports_every_module_but_no_dataclasses_or_inspect():
+    """What a fresh ``python -S`` process loads before the CLI runs a command.
+
+    ``import motzkinperm`` loads every module but ``cli``, which the
+    benchmark's tracer relies on to find all the code before it wraps it.
+    Importing the CLI and building its parser loads neither ``dataclasses``
+    nor ``inspect``, which cost every process about 0.02 s of CPU.
+    """
+    child = (
+        "import json, sys\n"
+        "import motzkinperm\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('motzkinperm.'))\n"
+        "import motzkinperm.cli\n"
+        "motzkinperm.cli.build_parser()\n"
+        "heavy = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([loaded, heavy]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PARENT},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, heavy = json.loads(proc.stdout)
+    modules = sorted(
+        f"motzkinperm.{path.stem}"
+        for path in Path(motzkinperm.__file__).parent.glob("*.py")
+        if path.stem not in ("__init__", "cli")
+    )
+    assert loaded == modules
+    assert heavy == []
+
+
 def test_console_script_installed(tmp_path):
     """The console script declared in pyproject.toml runs in a new process.
 
@@ -265,19 +322,12 @@ def test_console_script_installed(tmp_path):
     return value.  The child runs outside the checkout and imports the same
     package the suite tests, so nothing needs to be installed.
     """
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        tomllib = pytest.importorskip("tomli")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["motzkinperm"]
+    target = _project_table()["scripts"]["motzkinperm"]
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    package_parent = str(Path(motzkinperm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_parent, env.get("PYTHONPATH")])
+        filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "stats", "--perm", "2 3 1", "--json"],
