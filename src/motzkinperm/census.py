@@ -13,6 +13,7 @@ import random
 from typing import Callable, Iterable, NamedTuple
 
 from . import bell, mobius
+from ._kernels import check_size
 from .cfrac import WeightScheme, jfraction_series
 from .invert import RecoveryStatus, classify_weights, invert_jfraction, regenerate
 from .oracle import (
@@ -69,8 +70,7 @@ def census(
     ``scheme`` overrides the catalogue scheme, which is how the mutation
     check injects a corrupted one.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    check_size(n_max, "n_max")
     chosen: list[str] = []
     for token in sources:
         if token not in _SOURCE_TOKENS:
@@ -296,8 +296,7 @@ _CHECKS: tuple[tuple[str, Callable[[int, random.Random], list[str]]], ...] = (
 
 def check_all(max_n: int = 6, seed: int = 0) -> list[CheckResult]:
     """Run every cross-check; a raised exception counts as a failure."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    check_size(max_n, "max_n")
     results = []
     for name, fn in _CHECKS:
         try:

@@ -75,11 +75,15 @@ def _normalize_family(family: str) -> str:
     return key
 
 
+def _check_n(n: int) -> None:
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"counts are defined here for an int n >= 2, got {n!r}")
+
+
 def mobius_count(family: str, n: int) -> int:
     """Count of n-cycles avoiding every pattern in the family, by formula."""
     key = _normalize_family(family)
-    if n < 2:
-        raise ValueError("the divisor-sum formulas need n >= 2")
+    _check_n(n)
     if key in ("213,312", "132,231"):
         total = sum(
             mobius_value(d) * 2 ** (n // d) for d in _divisors(n) if d % 2 == 1
@@ -96,8 +100,7 @@ def mobius_count(family: str, n: int) -> int:
 def brute_count(family: str, n: int) -> int:
     """The same count by walking the n-cycles that avoid the patterns."""
     key = _normalize_family(family)
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"counts are defined here for an int n >= 2, got {n!r}")
+    _check_n(n)
     if n > BRUTE_CAP:
         raise ValueError(
             f"brute-force count over size {n} would enumerate up to {n - 1}! "

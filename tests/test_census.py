@@ -71,6 +71,9 @@ def test_census_input_validation():
     for subset in SubsetId:
         with pytest.raises(ValueError, match="capped at size"):
             census(subset, subset.spec.brute_cap + 1, sources=("bf",))
+    for size in (2.5, "3", None):
+        with pytest.raises(ValueError, match="n_max must be an int"):
+            census(SubsetId.ALL, size, sources=("cf",))
 
 
 def test_brute_force_census_runs_past_nine_where_the_class_prunes():
@@ -104,6 +107,12 @@ def test_corrupted_scheme_is_caught():
     )
     report = census(SubsetId.ALL, 4, marks="xvwt", sources=("bf", "cf"), scheme=bad)
     assert not report.passing
+
+
+def test_check_all_refuses_a_bad_size_before_running_any_check():
+    for size in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="max_n must be"):
+            check_all(size)
 
 
 def test_check_all_passes_and_covers_the_advertised_ground():

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkinperm._kernels import census_stats, stat_tuple
+from motzkinperm._kernels import census_stats, prefix_walk, stat_tuple
+from motzkinperm.oracle import count
+from motzkinperm.subsets import SubsetId
 
 from conftest import all_perms
 
@@ -75,7 +77,22 @@ def test_census_agrees_with_per_perm_tally():
         assert census_stats(n) == Counter(stat_tuple(perm) for perm in all_perms(n))
 
 
+def test_census_at_nine_equals_the_walk_tally():
+    # the dynamic program against the walk that visits every permutation
+    walked = Counter()
+    prefix_walk(9, lambda values, stats: walked.update((stats,)))
+    assert census_stats(9) == walked
+
+
+def test_count_of_the_whole_group_is_the_factorial():
+    for n in range(10):
+        assert count(n, SubsetId.ALL) == math.factorial(n)
+
+
 def test_census_of_the_empty_permutation_and_negative_sizes():
     assert census_stats(0) == {(0, 0, 0, 0, 0): 1}
     with pytest.raises(ValueError):
         census_stats(-1)
+    for size in (2.5, "3", None):
+        with pytest.raises(ValueError, match="size must be an int"):
+            census_stats(size)

@@ -64,6 +64,12 @@ def test_brute_count_is_capped_before_enumerating(monkeypatch):
             brute_count(FAMILIES[0], n)
 
 
+def test_formula_refuses_a_size_that_is_not_an_int_of_at_least_two():
+    for n in (6.0, 2.5, "6", None, 1, 0, -3):
+        with pytest.raises(ValueError, match="an int n >= 2"):
+            mobius_count(FAMILIES[0], n)
+
+
 def test_brute_count_matches_the_subsequence_scan_over_all_cycles():
     for family in FAMILIES:
         patterns = [tuple(int(c) for c in pat) for pat in family.split(",")]
