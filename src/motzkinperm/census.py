@@ -16,15 +16,10 @@ from . import bell, mobius
 from ._kernels import check_size
 from .cfrac import WeightScheme, jfraction_series
 from .invert import RecoveryStatus, classify_weights, invert_jfraction, regenerate
-from .oracle import (
-    MAX_BRUTE_N,
-    consecutive_123_distribution,
-    count,
-    distribution,
-    members,
-)
+from .oracle import MAX_BRUTE_N, consecutive_123_distribution, distributions, members
 from .paths import enumerate_paths, path_to_perm, perm_to_path
 from .perms import random_permutation, stats
+from .polys import check_marks
 from .schemes import scheme_for
 from .sequences import (
     baxter_numbers,
@@ -82,6 +77,7 @@ def census(
             chosen.append(name)
     if not chosen:
         raise ValueError("at least one source is required")
+    check_marks(marks)
     if marks and SOURCE_CLOSED in chosen:
         raise ValueError("closed forms carry no markers; drop 'closed' or the marks")
     if SOURCE_BRUTE in chosen and n_max > subset.spec.brute_cap:
@@ -89,20 +85,16 @@ def census(
             f"brute force over {subset.value} is capped at size "
             f"{subset.spec.brute_cap}; requested {n_max}"
         )
+    if SOURCE_CFRAC in chosen and scheme is None:
+        scheme = scheme_for(subset, marks)
 
     values: dict[str, list] = {}
     if SOURCE_BRUTE in chosen:
-        if marks:
-            values[SOURCE_BRUTE] = [distribution(n, subset, marks) for n in range(n_max + 1)]
-        else:
-            values[SOURCE_BRUTE] = [count(n, subset) for n in range(n_max + 1)]
+        polys = distributions(n_max, subset, marks)
+        values[SOURCE_BRUTE] = polys if marks else [p.value_at_ones() for p in polys]
     if SOURCE_CFRAC in chosen:
-        sch = scheme if scheme is not None else scheme_for(subset, marks)
-        series = sch.series(n_max)
-        if marks:
-            values[SOURCE_CFRAC] = list(series)
-        else:
-            values[SOURCE_CFRAC] = [c.value_at_ones() for c in series]
+        series = scheme.series(n_max)
+        values[SOURCE_CFRAC] = list(series) if marks else [c.value_at_ones() for c in series]
     if SOURCE_CLOSED in chosen:
         closed = closed_form_counts(subset, n_max)
         if closed is not None:
@@ -150,8 +142,7 @@ def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
     cap = min(max_n, 6)
     for marks in ("xvwt", "xvwq"):
         series = scheme_for(SubsetId.ALL, marks).series(cap)
-        for n in range(cap + 1):
-            want = distribution(n, SubsetId.ALL, marks)
+        for n, want in enumerate(distributions(cap, SubsetId.ALL, marks)):
             if series[n] != want:
                 failures.append(f"marks {marks} disagree at n={n}")
     return failures
@@ -160,19 +151,16 @@ def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
 def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
     """Counts of every class, each up to its own cap."""
     failures: list[str] = []
-    top = min(max_n, max(s.spec.brute_cap for s in SubsetId))
-    series = {subset: scheme_for(subset, "").counts(top) for subset in SubsetId}
-    closed = {subset: closed_form_counts(subset, top) for subset in SubsetId}
-    for n in range(top + 1):
-        for subset in SubsetId:
-            if n > subset.spec.brute_cap:
-                continue
-            counted = count(n, subset)
-            for source, want in (("fraction", series[subset]), ("closed form", closed[subset])):
-                if want is not None and want[n] != counted:
+    for subset in SubsetId:
+        top = min(max_n, subset.spec.brute_cap)
+        counted = [p.value_at_ones() for p in distributions(top, subset, "")]
+        series = scheme_for(subset, "").counts(top)
+        for source, want in (("fraction", series), ("closed form", closed_form_counts(subset, top))):
+            for n in range(top + 1):
+                if want is not None and want[n] != counted[n]:
                     failures.append(
                         f"{subset.value} {source} says {want[n]} at n={n}, "
-                        f"enumeration says {counted}"
+                        f"enumeration says {counted[n]}"
                     )
     return failures
 

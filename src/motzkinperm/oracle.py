@@ -1,18 +1,18 @@
 """Brute-force census over permutation classes.
 
-Ground truth for everything the continued fractions claim: enumerate the
-class members and sum statistic monomials directly.  One depth-first prefix
-walk (:func:`motzkinperm._kernels.prefix_walk`) does the enumerating.  It
-carries the statistics as it goes and skips every placement the class's
-rules refuse; the rules are exact, so every permutation it reaches is a
-member and none is checked again.  The whole symmetric group is tallied
-instead by :func:`motzkinperm._kernels.census_stats`, an exhaustive dynamic
-program over the walk's placement states that sums the same updates without
-visiting each permutation (0.02 s at n = 8 against 0.06 s for the walk).
-Cost still grows fast with the size, so each class has a cap
-(:attr:`motzkinperm.subsets.ClassSpec.brute_cap`): :data:`MAX_BRUTE_N` = 9
-for the whole symmetric group, more where the rules prune hard.  The point
-is exact cross-checks at small n, not scale.
+Ground truth for everything the continued fractions claim: sum statistic
+monomials over every class member directly, reading no path or continued
+fraction.  Most classes are tallied at every size up to n by one forward
+dynamic program over placement states
+(:func:`motzkinperm._kernels.state_tallies`); the two single-cycle classes,
+whose rule reads the size, take one pass per size.  The three noncrossing
+classes, whose rule reads the closing cycle, and :func:`members` run the
+depth-first prefix walk (:func:`motzkinperm._kernels.prefix_walk`), which
+skips every placement the class's exact rules refuse and so reaches only
+members.  Cost still grows fast with the size, so each class has a tally
+cap (:attr:`motzkinperm.subsets.ClassSpec.brute_cap`, 14 for the whole
+group) and a walk cap for :func:`members` (``walk_cap``, :data:`MAX_BRUTE_N`
+= 9 for the whole group).  The point is exact cross-checks, not scale.
 """
 
 from __future__ import annotations
@@ -22,25 +22,55 @@ from typing import Iterable, Iterator
 from . import _kernels
 from .perms import count_consecutive_123
 from .polys import VARS, MultiPoly, check_marks
-from .subsets import MAX_BRUTE_N, SubsetId
+from .subsets import BEYOND_STATE, MAX_BRUTE_N, SubsetId
 
 
 def _check_size(n: int, cap: int = MAX_BRUTE_N) -> None:
     _kernels.check_size(n)
     if n > cap:
-        raise ValueError(
-            f"brute-force census over size {n} would enumerate up to {n}! "
-            f"permutations; the cap is {cap}"
-        )
+        raise ValueError(f"brute force over size {n} is refused; the cap is {cap}")
 
 
 def _walk_class(n: int, subset: SubsetId, visit) -> None:
     """Call ``visit(values, stats)`` on each member of size n, in lexicographic
     order; ``values`` is the walk's 1-based list, reused."""
     spec = subset.spec
-    _check_size(n, spec.brute_cap)
+    _check_size(n, spec.walk_cap)
     if n or not spec.elevated:
         _kernels.prefix_walk(n, visit, spec.prefix_ok)
+
+
+def _tallies(subset: SubsetId, first: int, last: int) -> list[dict[tuple, int]]:
+    """{stat tuple: multiplicity} over the class members of each size first..last."""
+    spec = subset.spec
+    _check_size(last, spec.brute_cap)
+    reads = {BEYOND_STATE.get(rule) for rule in spec.requires}
+    if "values" in reads:
+        tallies = [{} for _ in range(first, last + 1)]
+        for n, tally in enumerate(tallies, first):
+
+            def add(values, stats, tally=tally):
+                tally[stats] = tally.get(stats, 0) + 1
+
+            _walk_class(n, subset, add)
+        return tallies
+    if "size" in reads:
+        tallies = [_kernels.state_tallies(n, spec.prefix_ok)[n] for n in range(first, last + 1)]
+    else:
+        tallies = _kernels.state_tallies(last, spec.prefix_ok, "low images" in reads)[first:]
+    if spec.elevated and first == 0:
+        tallies[0] = {}
+    return tallies
+
+
+def _poly(tally: dict[tuple, int], keep: frozenset[str]) -> MultiPoly:
+    """The tally as a polynomial, with the markers outside ``keep`` at 1."""
+    mask = tuple(1 if name in keep else 0 for name in VARS)
+    acc: dict[tuple[int, ...], int] = {}
+    for exps, mult in tally.items():
+        key = tuple(e * m for e, m in zip(exps, mask))
+        acc[key] = acc.get(key, 0) + mult
+    return MultiPoly(acc)
 
 
 def distribution(
@@ -54,38 +84,20 @@ def distribution(
     with unrequested markers evaluated at 1.
     """
     keep = check_marks(marks)
-    mask = tuple(1 if name in keep else 0 for name in VARS)
+    return _poly(_tallies(subset, n, n)[0], keep)
 
-    if subset is SubsetId.ALL:
-        _check_size(n)
-        tally = _kernels.census_stats(n)
-    else:
-        tally = {}
 
-        def add(values, stats):
-            tally[stats] = tally.get(stats, 0) + 1
-
-        _walk_class(n, subset, add)
-    acc: dict[tuple[int, ...], int] = {}
-    for exps, mult in tally.items():
-        key = tuple(e * m for e, m in zip(exps, mask))
-        acc[key] = acc.get(key, 0) + mult
-    return MultiPoly(acc)
+def distributions(
+    n_max: int, subset: SubsetId = SubsetId.ALL, marks: Iterable[str] = VARS
+) -> list[MultiPoly]:
+    """:func:`distribution` at every size 0..n_max, in one pass where the class allows."""
+    keep = check_marks(marks)
+    return [_poly(tally, keep) for tally in _tallies(subset, 0, n_max)]
 
 
 def count(n: int, subset: SubsetId) -> int:
     """Number of class members of size n, by enumeration."""
-    if subset is SubsetId.ALL:
-        _check_size(n)
-        return sum(_kernels.census_stats(n).values())
-    total = 0
-
-    def add(values, stats):
-        nonlocal total
-        total += 1
-
-    _walk_class(n, subset, add)
-    return total
+    return sum(_tallies(subset, n, n)[0].values())
 
 
 def members(n: int, subset: SubsetId) -> Iterator[tuple[int, ...]]:

@@ -31,8 +31,8 @@ from .sequences import (
     ogf_increasing_exc_def_counts,
 )
 
-# The largest size a brute-force enumeration without a rule may reach:
-# 9! = 362,880 permutations.
+# The largest size the walk may enumerate without a rule (the default walk
+# cap, and the cap of the unpruned walks): 9! = 362,880 permutations.
 MAX_BRUTE_N = 9
 
 
@@ -168,6 +168,13 @@ def is_involution(prefix, i, v):
     return v == h if h != i else v >= i
 
 
+# What a rule reads beyond the state key of _kernels.state_tallies: the size
+# (one pass per size), pi(v) > v for each unused v < i (a key bit), or the
+# closing cycle (the walk instead).
+BEYOND_STATE = {is_cyclic: "size", has_noncrossing_cycles: "values",
+                has_no_double_excedance_or_deficiency: "low images"}
+
+
 def _qbracket(q, h: int):
     """1 + q + ... + q^(h-1); zero when h is 0."""
     return sum((q**i for i in range(h)), 0)
@@ -177,9 +184,11 @@ class ClassSpec(NamedTuple):
     """One permutation class: membership, path step weights and closed form.
 
     ``requires`` is a conjunction of the membership rules above, and
-    :attr:`prefix_ok` joins them.  ``brute_cap`` is the largest size the walk
-    may enumerate: 9 without a rule, else the largest n it counts in about
-    10 s; beside each cap is the CPU time of ``oracle.count`` there (pure
+    :attr:`prefix_ok` joins them.  ``brute_cap`` is the largest size the
+    oracle tallies and ``walk_cap`` (9 without a rule) the largest that
+    ``oracle.members`` lists, each the largest n counted in about 10 s and
+    none past ``cfrac.MAX_ORDER`` (24), which a census compares with; beside
+    each are the CPU time and peak memory of ``oracle.count`` there (pure
     Python 3.11.7 on a 2-core x86-64 virtual machine).
     ``down(h, x, v, w, t, q)`` is the total weight of a down step falling
     from height h >= 1, and ``level(h, x, v, w, t, q)`` returns the level
@@ -196,6 +205,7 @@ class ClassSpec(NamedTuple):
     elevated: bool = False
     closed: Callable[[int], list[int]] | None = None
     brute_cap: int = MAX_BRUTE_N
+    walk_cap: int = MAX_BRUTE_N
 
     @property
     def prefix_ok(self) -> Callable[..., bool] | None:
@@ -227,6 +237,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             lower,
         ),
         closed=factorials,
+        brute_cap=14,  # 6.2 s, 99 MB
     ),
     SubsetId.CYCLIC: ClassSpec(
         (is_cyclic,), "xvw",
@@ -234,7 +245,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x if h == 0 else 0, h * v * w, h),
         elevated=True,
         closed=lambda n: [0] + factorials(n - 1) if n else [0],
-        brute_cap=10,  # 1.7 s
+        brute_cap=14, walk_cap=10,  # one pass per size: 3.5 s, 66 MB; the walk 1.7 s
     ),
     SubsetId.AVOID321: ClassSpec(
         (avoids_321,), "xvwq",
@@ -243,7 +254,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             (x, 0, 0) if h == 0 else (0, v * w * q**h, q**h)
         ),
         closed=catalan_numbers,
-        brute_cap=13,  # 8.1 s
+        brute_cap=18, walk_cap=13,  # 4.3 s, 132 MB; the walk 8.1 s
     ),
     SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: ClassSpec(
         (has_unimodal_cycles, has_noncrossing_cycles, has_no_nested_fixed_point),
@@ -254,27 +265,27 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             else (0, v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=catalan_numbers,
-        brute_cap=11,  # 7.4 s
+        brute_cap=11, walk_cap=11,  # the walk: 5.8 s, 15 MB
     ),
     SubsetId.NONCROSSING: ClassSpec(
         (has_no_double_excedance, has_unimodal_cycles, has_noncrossing_cycles), "xvw",
         down=lambda h, x, v, w, t, q: v,
         level=lambda h, x, v, w, t, q: (x, 0, 0 if h == 0 else 1),
         closed=catalan_numbers,
-        brute_cap=11,  # 3.9 s
+        brute_cap=11, walk_cap=11,  # the walk: 2.4 s, 15 MB
     ),
     SubsetId.INCREASING_EXC: ClassSpec(
         (has_increasing_excedance_values,), "xvwt",
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
-        brute_cap=10,  # 1.9 s
+        brute_cap=16, walk_cap=10,  # 7.5 s, 117 MB; the walk 1.9 s
     ),
     SubsetId.INCREASING_WEAK_EXC: ClassSpec(
         (has_increasing_weak_excedance_values,), "xvwt",
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0) if h == 0 else (0, v * w, h),
         closed=bell_numbers,
-        brute_cap=11,  # 3.3 s
+        brute_cap=16, walk_cap=11,  # 4.9 s, 80 MB; the walk 3.3 s
     ),
     SubsetId.CYCLIC_INCREASING_EXC: ClassSpec(
         (is_cyclic, has_increasing_excedance_values), "xvw",
@@ -282,20 +293,20 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * w, h),
         elevated=True,
         closed=lambda n: [0] + bell_numbers(n - 1) if n else [0],
-        brute_cap=12,  # 6.9 s
+        brute_cap=17, walk_cap=12,  # one pass per size: 6.6 s, 99 MB; the walk 6.9 s
     ),
     SubsetId.UNIMODAL_CYCLES: ClassSpec(
         (has_unimodal_cycles,), "xvwt",
         down=lambda h, x, v, w, t, q: h * v * t,
         level=lambda h, x, v, w, t, q: (x * t, h * v * w, h),
         closed=egf_unimodal_cycle_counts,
-        brute_cap=10,  # 4.9 s
+        brute_cap=14, walk_cap=10,  # 4.0 s, 82 MB; the walk 4.9 s
     ),
     SubsetId.UNIMODAL_CYCLES_INCREASING_EXC: ClassSpec(
         (has_unimodal_cycles, has_increasing_excedance_values), "xvwt",
         down=lambda h, x, v, w, t, q: v * t,
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
-        brute_cap=11,  # 8.0 s
+        brute_cap=17, walk_cap=11,  # 9.6 s, 172 MB; the walk 8.0 s
     ),
     SubsetId.INCREASING_EXC_AND_DEF: ClassSpec(
         (has_increasing_excedance_values, has_increasing_deficiency_values), "xvwq",
@@ -304,7 +315,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             (x, 0, 0) if h == 0 else (x * q ** (2 * h), v * w * q**h, q**h)
         ),
         closed=ogf_increasing_exc_def_counts,
-        brute_cap=11,  # 3.0 s
+        brute_cap=18, walk_cap=11,  # 10.0 s, 246 MB; the walk 3.0 s
     ),
     SubsetId.UNIMODAL_NONCROSSING: ClassSpec(
         (has_unimodal_cycles, has_noncrossing_cycles), "xvwtq",
@@ -314,28 +325,28 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             else (x * t * q ** (2 * h), v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=ogf_increasing_exc_def_counts,
-        brute_cap=10,  # 3.9 s
+        brute_cap=10, walk_cap=10,  # the walk: 2.5 s, 15 MB
     ),
     SubsetId.NO_DOUBLE_EXC_OR_DEF: ClassSpec(
         (has_no_double_excedance_or_deficiency,), "xvwt",
         down=lambda h, x, v, w, t, q: v * h * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0),
         closed=egf_no_double_step_counts,
-        brute_cap=11,  # 7.3 s
+        brute_cap=13, walk_cap=11,  # 3.4 s, 63 MB; the walk 7.3 s
     ),
     SubsetId.INVOLUTIONS: ClassSpec(
         (is_involution,), "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1) * _qbracket(q * q, h),
         level=lambda h, x, v, w, t, q: (x * t * q ** (2 * h), 0, 0),
         closed=egf_involution_counts,
-        brute_cap=13,  # 4.5 s
+        brute_cap=15, walk_cap=13,  # 4.9 s, 126 MB; the walk 4.5 s
     ),
     SubsetId.INVOLUTIONS321: ClassSpec(
         (is_involution, avoids_321), "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1),
         level=lambda h, x, v, w, t, q: (x * t if h == 0 else 0, 0, 0),
         closed=lambda n: [comb(k, k // 2) for k in range(n + 1)],
-        brute_cap=20,  # 7.9 s
+        brute_cap=24, walk_cap=20,  # 4.8 s, 85 MB (the order cap); the walk 7.9 s
     ),
 }
 

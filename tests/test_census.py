@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import motzkinperm._kernels
 from motzkinperm.census import (
     SOURCE_BRUTE,
     SOURCE_CFRAC,
@@ -67,13 +68,25 @@ def test_census_input_validation():
     with pytest.raises(ValueError):
         census(SubsetId.ALL, 4, sources=())
     with pytest.raises(ValueError):
-        census(SubsetId.ALL, 12, sources=("bf",))
+        census(SubsetId.ALL, 15, sources=("bf",))
     for subset in SubsetId:
         with pytest.raises(ValueError, match="capped at size"):
             census(subset, subset.spec.brute_cap + 1, sources=("bf",))
     for size in (2.5, "3", None):
         with pytest.raises(ValueError, match="n_max must be an int"):
             census(SubsetId.ALL, size, sources=("cf",))
+
+
+def test_census_refuses_bad_markers_before_any_source_runs(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(motzkinperm._kernels, "prefix_walk", enumerate_nothing)
+    monkeypatch.setattr(motzkinperm._kernels, "state_tallies", enumerate_nothing)
+    with pytest.raises(ValueError, match=r"has no weight scheme carrying markers \['q'\]"):
+        census(SubsetId.UNIMODAL_CYCLES, 10, marks="xvwtq", sources=("bf", "cf"))
+    with pytest.raises(ValueError, match=r"unknown markers \['z'\]"):
+        census(SubsetId.ALL, 3, marks="zz")
 
 
 def test_brute_force_census_runs_past_nine_where_the_class_prunes():

@@ -129,7 +129,7 @@ def test_census_rejects_unknown_subset(capsys):
 
 
 def test_census_rejects_oversized_brute_force(capsys):
-    code, _, err = run(capsys, "census", "--subset", "All", "--n-max", "10")
+    code, _, err = run(capsys, "census", "--subset", "All", "--n-max", "15")
     assert code == 1
     assert "error:" in err
 

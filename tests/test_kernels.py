@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkinperm._kernels import census_stats, prefix_walk, stat_tuple
+from motzkinperm._kernels import census_stats, prefix_walk, stat_tuple, state_tallies
 from motzkinperm.oracle import count
-from motzkinperm.subsets import SubsetId
+from motzkinperm.subsets import BEYOND_STATE, SubsetId
 
 from conftest import all_perms
 
@@ -82,6 +82,47 @@ def test_census_at_nine_equals_the_walk_tally():
     walked = Counter()
     prefix_walk(9, lambda values, stats: walked.update((stats,)))
     assert census_stats(9) == walked
+
+
+def _reads(subset):
+    """What the class's rules read beyond the state key of the one-pass tally."""
+    return {BEYOND_STATE.get(rule) for rule in subset.spec.requires} - {None}
+
+
+# the classes one pass tallies at every size: their rules read only the state key
+ONE_PASS = [s for s in SubsetId if _reads(s) <= {"low images"}]
+
+
+def _walk_tallies(n_max, subset):
+    """The walk's tally of the class at each size 0..n_max."""
+    tallies = []
+    for n in range(n_max + 1):
+        tallies.append(Counter())
+        prefix_walk(n, lambda values, stats: tallies[-1].update((stats,)), subset.spec.prefix_ok)
+    return tallies
+
+
+def _one_pass(n_max, subset):
+    return state_tallies(n_max, subset.spec.prefix_ok, "low images" in _reads(subset))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(ONE_PASS), st.integers(0, 8))
+def test_one_pass_equals_the_walk_at_every_size(subset, n_max):
+    assert _one_pass(n_max, subset) == _walk_tallies(n_max, subset)
+
+
+# All's pass is checked against the walk at nine, and at every size through
+# census_stats (the test below and the per-permutation tally above)
+@pytest.mark.parametrize(
+    "subset", [s for s in ONE_PASS if s is not SubsetId.ALL], ids=lambda s: s.value
+)
+def test_one_pass_at_nine_equals_the_walk_at_every_size(subset):
+    assert _one_pass(9, subset) == _walk_tallies(9, subset)
+
+
+def test_the_pass_over_s9_holds_every_smaller_census():
+    assert state_tallies(9) == [census_stats(n) for n in range(10)]
 
 
 def test_count_of_the_whole_group_is_the_factorial():

@@ -11,11 +11,13 @@ import pytest
 import motzkinperm._kernels
 from motzkinperm import perms
 from motzkinperm.bell import set_partitions
+from motzkinperm.cfrac import MAX_ORDER
 from motzkinperm.oracle import (
     MAX_BRUTE_N,
     consecutive_123_distribution,
     count,
     distribution,
+    distributions,
     members,
     sweep_counts,
 )
@@ -58,12 +60,15 @@ def test_size_cap_is_enforced(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(motzkinperm._kernels, "prefix_walk", enumerate_nothing)
-    assert SubsetId.ALL.spec.brute_cap == MAX_BRUTE_N
+    monkeypatch.setattr(motzkinperm._kernels, "state_tallies", enumerate_nothing)
+    assert SubsetId.ALL.spec.walk_cap == MAX_BRUTE_N
     for subset in SubsetId:
         cap = subset.spec.brute_cap
-        assert cap >= MAX_BRUTE_N
-        assert (cap > MAX_BRUTE_N) <= (subset.spec.prefix_ok is not None)
-        for call in (distribution, lambda n, s: list(members(n, s)), count):
+        assert MAX_ORDER >= cap >= subset.spec.walk_cap >= MAX_BRUTE_N
+        assert (subset.spec.walk_cap > MAX_BRUTE_N) <= (subset.spec.prefix_ok is not None)
+        with pytest.raises(ValueError, match="the cap is"):
+            list(members(subset.spec.walk_cap + 1, subset))
+        for call in (distribution, distributions, lambda n, s: list(members(n, s)), count):
             with pytest.raises(ValueError, match="the cap is"):
                 call(cap + 1, subset)
             with pytest.raises(ValueError):
