@@ -12,8 +12,8 @@ a class at every size up to n at once, without visiting each member: a
 forward dynamic program over the walk's placement states that merges
 prefixes whose relabelled states agree (the whole group up to n = 9 in
 0.03 s, against 0.2 s for a memoized recursion per size; CPU time, Python
-3.11.7 on a 2-core x86-64 virtual machine).  :func:`census_stats` is its
-last entry.
+3.11.7 on a 2-core x86-64 virtual machine).  Its rule may read ``top``,
+``head`` and ``unused`` but not ``values``; a rule that does needs the walk.
 ``BACKEND`` names the kernel that runs; the benchmark probe reads it.
 """
 
@@ -165,15 +165,16 @@ def prefix_walk(n, visit, prefix_ok=None):
 
 
 class _State(Prefix):
-    """A representative placement state of :func:`state_tallies`."""
+    """A representative placement state of :func:`state_tallies`: ``unused``,
+    ``top`` and ``head``, and no ``values``."""
 
     __slots__ = ()
 
-    def __init__(self, values, unused, top, head):
-        self.values, self.unused, self.top, self.head = values, unused, top, head
+    def __init__(self, unused, top, head):
+        self.unused, self.top, self.head = unused, top, head
 
 
-def state_tallies(n_max, rule=None, low_images=False):
+def state_tallies(n_max, rule=None):
     """Tally :func:`stat_tuple` over the members of every size 0..n_max at once.
 
     Entry m of the returned list is ``{stat tuple: multiplicity}`` over the
@@ -185,18 +186,18 @@ def state_tallies(n_max, rule=None, low_images=False):
     whose set is the unused values.  So the key lists those heads, each
     unused value below i as its rank, -m..-1 for m of them (they lie below
     every open position), every other as u - i; that fixes ``top`` too, the
-    largest value from i up not unused, else i - 1.  With ``low_images`` it
-    also says, for each unused v < i, whether pi(v) > v; a rule that reads
-    the size, like ``is_cyclic``, needs a pass per size.  The state at level
-    m + 1 with ``top == m`` holds the permutations of 1..m, which every rule
-    reads as at size m.  The sum still runs over every member, and reads no
-    path or continued fraction.
+    largest value from i up not unused, else i - 1.  So ``rule`` may read
+    ``top``, ``head`` and ``unused`` of its :class:`Prefix` view, but not
+    ``values``, which a state does not hold.  The state at level m + 1 with
+    ``top == m`` holds the permutations of 1..m, which every rule reads as
+    at size m.  The sum still runs over every member, and reads no path or
+    continued fraction.
     """
     check_size(n_max)
     n = n_max
     width = max(1, (n * n).bit_length())  # each statistic <= n*n < 2**width: sums never carry
     fix, exc, dexc, cyc = (1 << k * width for k in (4, 3, 2, 1))
-    level = {None: (_State([0] * (n + 1), list(range(1, n + 1)), 0, list(range(n + 1))), {0: 1})}
+    level = {None: (_State(list(range(1, n + 1)), 0, list(range(n + 1))), {0: 1})}
     packed = []
     for i in range(1, n + 2):
         packed.append(next((sums for state, sums in level.values() if state.top == i - 1), {}))
@@ -205,7 +206,7 @@ def state_tallies(n_max, rule=None, low_images=False):
         following = {}
         while level:  # popped, so each state's sums are freed once passed on
             state, sums = level.popitem()[1]
-            values, unused, top, head = state.values, state.unused, state.top, state.head
+            unused, top, head = state.unused, state.top, state.head
             h = head[i]
             above = exc + (dexc if h != i else 0)
             for k, v in enumerate(unused):
@@ -219,10 +220,8 @@ def state_tallies(n_max, rule=None, low_images=False):
                 low = [u for u in rest if u <= i]
                 rank = {u: r - len(low) for r, u in enumerate(low)}
                 key = tuple([rank[u] if u <= i else u - i for u in heads[i + 1 :]])
-                if low_images:
-                    key += tuple((v if u == i else values[u]) > u for u in low)
                 if key not in following:
-                    child = _State(values[:i] + [v] + values[i + 1 :], rest, max(v, top), heads)
+                    child = _State(rest, max(v, top), heads)
                     following[key] = (child, {})
                 acc = following[key][1]
                 for s, mult in sums.items():
@@ -234,7 +233,3 @@ def state_tallies(n_max, rule=None, low_images=False):
         for sums in packed
     ]
 
-
-def census_stats(n):
-    """Tally :func:`stat_tuple` over all of S_n: {stat tuple: multiplicity}."""
-    return state_tallies(n)[-1]

@@ -2,10 +2,9 @@
 
 Ground truth for everything the continued fractions claim: sum statistic
 monomials over every class member directly, reading no path or continued
-fraction.  Most classes are tallied at every size up to n by one forward
-dynamic program over placement states
-(:func:`motzkinperm._kernels.state_tallies`); the two single-cycle classes,
-whose rule reads the size, take one pass per size.  The three noncrossing
+fraction.  Every class but three is tallied at every size up to n by one
+forward dynamic program over placement states
+(:func:`motzkinperm._kernels.state_tallies`).  The three noncrossing
 classes, whose rule reads the closing cycle, and :func:`members` run the
 depth-first prefix walk (:func:`motzkinperm._kernels.prefix_walk`), which
 skips every placement the class's exact rules refuse and so reaches only
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator
 from . import _kernels
 from .perms import count_consecutive_123
 from .polys import VARS, MultiPoly, check_marks
-from .subsets import BEYOND_STATE, MAX_BRUTE_N, SubsetId
+from .subsets import MAX_BRUTE_N, SubsetId
 
 
 def _check_size(n: int, cap: int = MAX_BRUTE_N) -> None:
@@ -44,8 +43,7 @@ def _tallies(subset: SubsetId, first: int, last: int) -> list[dict[tuple, int]]:
     """{stat tuple: multiplicity} over the class members of each size first..last."""
     spec = subset.spec
     _check_size(last, spec.brute_cap)
-    reads = {BEYOND_STATE.get(rule) for rule in spec.requires}
-    if "values" in reads:
+    if not spec.one_pass:
         tallies = [{} for _ in range(first, last + 1)]
         for n, tally in enumerate(tallies, first):
 
@@ -54,10 +52,7 @@ def _tallies(subset: SubsetId, first: int, last: int) -> list[dict[tuple, int]]:
 
             _walk_class(n, subset, add)
         return tallies
-    if "size" in reads:
-        tallies = [_kernels.state_tallies(n, spec.prefix_ok)[n] for n in range(first, last + 1)]
-    else:
-        tallies = _kernels.state_tallies(last, spec.prefix_ok, "low images" in reads)[first:]
+    tallies = _kernels.state_tallies(last, spec.prefix_ok)[first:]
     if spec.elevated and first == 0:
         tallies[0] = {}
     return tallies

@@ -78,9 +78,15 @@ class SubsetId(enum.Enum):
 
 
 def is_cyclic(prefix, i, v):
-    """One cycle: a cycle closes (v = head[i]) only at the last position, where
-    the last placement always closes one; any earlier close leaves a second."""
-    return v != prefix.head[i] or i == len(prefix.values) - 1
+    """One cycle: a cycle closes (v = head[i]) only where it completes pi(1..i)
+    to a permutation of 1..i (``top`` is then i), and nothing follows a
+    complete prefix (``top`` = i - 1 past the first position).  A single
+    cycle's only close is its last placement.  With two or more, the first
+    close leaves a gap or completes a prefix that the next placement extends.
+    """
+    if prefix.top == i - 1:
+        return i == 1
+    return v != prefix.head[i] or prefix.top == i
 
 
 def avoids_321(prefix, i, v):
@@ -153,11 +159,10 @@ def has_no_double_excedance(prefix, i, v):
 
 
 def has_no_double_excedance_or_deficiency(prefix, i, v):
-    """No double excedance and no i > pi(i) > pi(pi(i)), which is finished
-    where pi(i) is placed, pi(pi(i)) being placed before."""
-    if v < i:
-        return prefix.values[v] > v
-    return has_no_double_excedance(prefix, i, v)
+    """No j < pi(j) < pi(pi(j)) and no j > pi(j) > pi(pi(j)): a point i moved
+    by pi is an excedance exactly when its preimage is not, and that preimage
+    is an excedance exactly when it is placed before i (head[i] != i)."""
+    return v == i or (v > i) == (prefix.head[i] == i)
 
 
 def is_involution(prefix, i, v):
@@ -166,13 +171,6 @@ def is_involution(prefix, i, v):
     hold fixed points, 2-cycles and arcs j -> i that only pi(i) = j closes."""
     h = prefix.head[i]
     return v == h if h != i else v >= i
-
-
-# What a rule reads beyond the state key of _kernels.state_tallies: the size
-# (one pass per size), pi(v) > v for each unused v < i (a key bit), or the
-# closing cycle (the walk instead).
-BEYOND_STATE = {is_cyclic: "size", has_noncrossing_cycles: "values",
-                has_no_double_excedance_or_deficiency: "low images"}
 
 
 def _qbracket(q, h: int):
@@ -222,6 +220,13 @@ class ClassSpec(NamedTuple):
 
         return all_pass
 
+    @property
+    def one_pass(self) -> bool:
+        """Whether one forward pass (:func:`motzkinperm._kernels.state_tallies`)
+        tallies the class: every rule but :func:`has_noncrossing_cycles`,
+        which reads the closing cycle, reads only what a state fixes."""
+        return has_noncrossing_cycles not in self.requires
+
 
 CLASSES: dict[SubsetId, ClassSpec] = {
     # t and q are never marked together here (see schemes.scheme_for): at
@@ -245,7 +250,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x if h == 0 else 0, h * v * w, h),
         elevated=True,
         closed=lambda n: [0] + factorials(n - 1) if n else [0],
-        brute_cap=14, walk_cap=10,  # one pass per size: 3.5 s, 66 MB; the walk 1.7 s
+        brute_cap=14, walk_cap=10,  # 4.7 s, 59 MB; the walk 1.4 s
     ),
     SubsetId.AVOID321: ClassSpec(
         (avoids_321,), "xvwq",
@@ -293,7 +298,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * w, h),
         elevated=True,
         closed=lambda n: [0] + bell_numbers(n - 1) if n else [0],
-        brute_cap=17, walk_cap=12,  # one pass per size: 6.6 s, 99 MB; the walk 6.9 s
+        brute_cap=17, walk_cap=12,  # 6.8 s, 91 MB; the walk 3.4 s
     ),
     SubsetId.UNIMODAL_CYCLES: ClassSpec(
         (has_unimodal_cycles,), "xvwt",
@@ -332,7 +337,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         down=lambda h, x, v, w, t, q: v * h * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0),
         closed=egf_no_double_step_counts,
-        brute_cap=13, walk_cap=11,  # 3.4 s, 63 MB; the walk 7.3 s
+        brute_cap=15, walk_cap=11,  # 9.8 s, 121 MB; the walk 2.3 s
     ),
     SubsetId.INVOLUTIONS: ClassSpec(
         (is_involution,), "xvwtq",

@@ -340,6 +340,26 @@ def test_console_script_installed(tmp_path):
     assert json.loads(proc.stdout)["excedances"] == 2
 
 
+def test_check_prints_the_same_under_the_benchmark_tracer(tmp_path):
+    """``perfbench/tracer.py`` rebinds every public function that a module
+    imports by name to a wrapper, so code that compares such a name with the
+    original function object can pass plainly and fail traced.  ``check``
+    dispatches every class, so its traced output must match the plain one."""
+    argv = ["check", "--n-max", "6", "--json"]
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PARENT}
+    plain, traced = (
+        subprocess.run(cmd + argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+        for cmd in (
+            [sys.executable, "-m", "motzkinperm.cli"],
+            [sys.executable, str(tracer), "--out", str(tmp_path / "trace"), "--job-id", "1", "--"],
+        )
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+
+
 # -- the JSON writer ----------------------------------------------------------
 
 scalars = (

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkinperm._kernels import census_stats, prefix_walk, stat_tuple, state_tallies
+from motzkinperm._kernels import prefix_walk, stat_tuple, state_tallies
 from motzkinperm.oracle import count
-from motzkinperm.subsets import BEYOND_STATE, SubsetId
+from motzkinperm.subsets import SubsetId
 
 from conftest import all_perms
 
@@ -67,30 +67,25 @@ def test_stat_tuple_on_the_reversed_identity():
 
 def test_census_matches_pure_and_sums_to_factorial():
     for n in range(7):
-        table = census_stats(n)
+        table = state_tallies(n)[n]
         assert table == Counter(naive_stat_tuple(p) for p in itertools.permutations(range(1, n + 1)))
         assert sum(table.values()) == math.factorial(n)
 
 
 def test_census_agrees_with_per_perm_tally():
     for n in range(9):
-        assert census_stats(n) == Counter(stat_tuple(perm) for perm in all_perms(n))
+        assert state_tallies(n)[n] == Counter(stat_tuple(perm) for perm in all_perms(n))
 
 
 def test_census_at_nine_equals_the_walk_tally():
     # the dynamic program against the walk that visits every permutation
     walked = Counter()
     prefix_walk(9, lambda values, stats: walked.update((stats,)))
-    assert census_stats(9) == walked
+    assert state_tallies(9)[9] == walked
 
 
-def _reads(subset):
-    """What the class's rules read beyond the state key of the one-pass tally."""
-    return {BEYOND_STATE.get(rule) for rule in subset.spec.requires} - {None}
-
-
-# the classes one pass tallies at every size: their rules read only the state key
-ONE_PASS = [s for s in SubsetId if _reads(s) <= {"low images"}]
+# the classes one pass tallies at every size: their rules read only the state
+ONE_PASS = [s for s in SubsetId if s.spec.one_pass]
 
 
 def _walk_tallies(n_max, subset):
@@ -103,7 +98,7 @@ def _walk_tallies(n_max, subset):
 
 
 def _one_pass(n_max, subset):
-    return state_tallies(n_max, subset.spec.prefix_ok, "low images" in _reads(subset))
+    return state_tallies(n_max, subset.spec.prefix_ok)
 
 
 @settings(deadline=None, max_examples=40)
@@ -112,8 +107,8 @@ def test_one_pass_equals_the_walk_at_every_size(subset, n_max):
     assert _one_pass(n_max, subset) == _walk_tallies(n_max, subset)
 
 
-# All's pass is checked against the walk at nine, and at every size through
-# census_stats (the test below and the per-permutation tally above)
+# All's pass is checked against the walk at nine, and at every size against
+# the per-permutation tally above and the passes that stop there (below)
 @pytest.mark.parametrize(
     "subset", [s for s in ONE_PASS if s is not SubsetId.ALL], ids=lambda s: s.value
 )
@@ -122,7 +117,7 @@ def test_one_pass_at_nine_equals_the_walk_at_every_size(subset):
 
 
 def test_the_pass_over_s9_holds_every_smaller_census():
-    assert state_tallies(9) == [census_stats(n) for n in range(10)]
+    assert state_tallies(9) == [state_tallies(n)[n] for n in range(10)]
 
 
 def test_count_of_the_whole_group_is_the_factorial():
@@ -131,9 +126,9 @@ def test_count_of_the_whole_group_is_the_factorial():
 
 
 def test_census_of_the_empty_permutation_and_negative_sizes():
-    assert census_stats(0) == {(0, 0, 0, 0, 0): 1}
+    assert state_tallies(0) == [{(0, 0, 0, 0, 0): 1}]
     with pytest.raises(ValueError):
-        census_stats(-1)
+        state_tallies(-1)
     for size in (2.5, "3", None):
         with pytest.raises(ValueError, match="size must be an int"):
-            census_stats(size)
+            state_tallies(size)
