@@ -5,15 +5,15 @@ points, excedances, double excedances and cycles, with a Fenwick tree
 counting inversions.  It assumes a valid permutation;
 :func:`motzkinperm.perms.stats` is the checked entry point.
 :func:`prefix_walk` walks the one-line prefixes of S_n depth first (Knuth,
-TAOCP 4A, 7.2.1.2), updating all five statistics in O(1) per placed entry and
-skipping every placement a class's rule refuses; the rules are exact, so it
-reaches the class's members and nothing else.  :func:`state_tallies` tallies
-a class at every size up to n at once, without visiting each member: a
-forward dynamic program over the walk's placement states that merges
-prefixes whose relabelled states agree (the whole group up to n = 9 in
-0.03 s, against 0.2 s for a memoized recursion per size; CPU time, Python
-3.11.7 on a 2-core x86-64 virtual machine).  Its rule may read ``top``,
-``head`` and ``unused`` but not ``values``; a rule that does needs the walk.
+TAOCP 4A, 7.2.1.2), skipping every placement a class's rule refuses; the
+rules are exact, so it reaches the class's members and nothing else.
+:func:`state_tallies` tallies the statistics of a class at every size up to
+n at once, without visiting each member: a forward dynamic program over the
+walk's placement states that merges prefixes whose relabelled states agree
+(the whole group up to n = 9 in 0.03 s, against 0.2 s for a memoized
+recursion per size; CPU time, Python 3.11.7 on a 2-core x86-64 virtual
+machine).  Its rule may read ``top``, ``head`` and ``unused`` but not
+``values``, and every class rule keeps to that.
 ``BACKEND`` names the kernel that runs; the benchmark probe reads it.
 """
 
@@ -77,11 +77,12 @@ class Prefix:
     i`` exactly when i is already some earlier pi(j), and placing v = head[i]
     closes a cycle.  :meth:`place` makes one placement for good, as
     :func:`motzkinperm.subsets.is_member` replays a permutation; after it
-    ``unused`` holds only the smallest value not yet placed (nothing once all
-    are), which is all of it the rules read.
+    ``unused`` holds only the smallest value not yet placed and the largest
+    below the next position (nothing once all are placed), which is all of it
+    the rules read.
     """
 
-    __slots__ = ("values", "unused", "top", "head", "tail", "placed")
+    __slots__ = ("values", "unused", "top", "head", "tail", "placed", "below")
 
     def __init__(self, n: int) -> None:
         self.values = [0] * (n + 1)
@@ -90,12 +91,16 @@ class Prefix:
         self.head = list(range(n + 1))
         self.tail = list(range(n + 1))
         self.placed = bytearray(n + 2)  # placed[n + 1] stays 0
+        self.below = []
 
     def place(self, i: int, v: int) -> None:
         """Set pi(i) = v after pi(1..i-1), joining chains as the walk does.
 
         The smallest unused value only rises, so the scan over ``placed`` that
-        finds it takes amortized O(1) per placement.
+        finds it takes amortized O(1) per placement.  ``below`` stacks each value
+        i still unused when position i is placed, and pops values placed since
+        only once they reach its top, so its top is the largest unused value
+        up to i, in amortized O(1) too.
         """
         self.values[i] = v
         placed = self.placed
@@ -103,7 +108,15 @@ class Prefix:
         low = self.unused[0]
         while placed[low]:
             low += 1
-        self.unused = [low] if low < len(placed) - 1 else []
+        below = self.below
+        if not placed[i]:
+            below.append(i)
+        while below and placed[below[-1]]:
+            below.pop()
+        if below and below[-1] != low:
+            self.unused = [low, below[-1]]
+        else:
+            self.unused = [low] if low < len(placed) - 1 else []
         if v > self.top:
             self.top = v
         h = self.head[i]
@@ -113,55 +126,48 @@ class Prefix:
 
 
 def prefix_walk(n, visit, prefix_ok=None):
-    """Call ``visit(values, stats)`` on each permutation of S_n, in lexicographic order.
+    """Call ``visit(values)`` on each permutation of S_n, in lexicographic order.
 
     The walk places pi(1), pi(2), ... depth first (Knuth, TAOCP 4A, 7.2.1.2,
-    Algorithm X) and carries the :func:`stat_tuple` statistics with O(1)
-    updates: position i takes each unused value v in turn, a fixed point if
-    v = i, an excedance if v > i, a double excedance j < i < v if i is
-    already some earlier pi(j), and one inversion per unused value below v.
-    With ``prefix_ok(prefix, i, v)`` given, a value is tried only where it
-    returns True for the :class:`Prefix` view, so whole subtrees are skipped
-    and ``visit`` sees exactly the permutations whose every placement passes.
+    Algorithm X), position i taking each unused value in turn.  With
+    ``prefix_ok(prefix, i, v)`` given, a value is tried only where it returns
+    True for the :class:`Prefix` view, so whole subtrees are skipped and
+    ``visit`` sees exactly the permutations whose every placement passes.
     ``values`` is the list of the view, 1-based and reused: copy what you keep.
     """
     check_size(n)
     prefix = Prefix(n)
     values, unused, head, tail = prefix.values, prefix.unused, prefix.head, prefix.tail
 
-    def walk(i, fixed, exc, dexc, cyc, inv, top):
-        if i == n:  # the last value left closes the last cycle
+    def walk(i):
+        if i == n:  # the last value left
             v = unused[0]
             if prefix_ok is None or prefix_ok(prefix, i, v):
                 values[i] = v
-                visit(values, (fixed + (v == n), exc, dexc, cyc + 1, inv))
+                visit(values)
             return
         h = head[i]
-        dexc_above = dexc + (h != i)
+        top = prefix.top
         for k, v in enumerate(unused):
             if prefix_ok is not None and not prefix_ok(prefix, i, v):
                 continue
             values[i] = v
-            if v > i:
-                f, e, d = fixed, exc + 1, dexc_above
-            else:
-                f, e, d = fixed + (v == i), exc, dexc
             prefix.top = v if v > top else top
             del unused[k]
             if v == h:
-                walk(i + 1, f, e, d, cyc + 1, inv + k, prefix.top)
+                walk(i + 1)
             else:
                 t = tail[v]
                 head[t], tail[h] = h, t
-                walk(i + 1, f, e, d, cyc, inv + k, prefix.top)
+                walk(i + 1)
                 head[t], tail[h] = v, i
             unused.insert(k, v)
             prefix.top = top
 
     if n:
-        walk(1, 0, 0, 0, 0, 0, 0)
+        walk(1)
     else:
-        visit(values, (0, 0, 0, 0, 0))
+        visit(values)
 
 
 class _State(Prefix):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from ._kernels import check_size
 from .paths import ColoredMotzkinPath, check_family, enumerate_paths
 from .perms import (
     DiagonalType, Permutation, _DiagramState, _Record, _require_permutation, diagram_walk,
@@ -79,8 +80,7 @@ def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     Generated by restricted growth: entry i joins an existing block or opens
     the next fresh one.
     """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    check_size(n)
     if n == 0:
         yield ()
         return

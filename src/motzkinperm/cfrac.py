@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from ._kernels import check_size
 from .polys import MultiPoly
 
 # Highest order WeightScheme.series expands.  The costliest input it admits,
@@ -67,8 +68,7 @@ def jfraction_series(
     dee: Callable[[int], object], ell: Callable[[int], object], order: int
 ) -> tuple:
     """Grounded-path census c_0..c_order from level weights ell and fall weights dee."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_size(order, "order")
     return tuple(_path_sums(dee, ell, order, 0))
 
 
@@ -76,8 +76,7 @@ def kfraction_series(
     dee: Callable[[int], object], ell: Callable[[int], object], order: int
 ) -> tuple:
     """Elevated-path census c_0..c_order (interior strictly above the axis)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_size(order, "order")
     lead = ell(0)
     sums = [lead * 0, lead][: order + 1]
     if order >= 2:
@@ -97,6 +96,7 @@ class WeightScheme(NamedTuple):
 
     def series(self, order: int) -> tuple[MultiPoly, ...]:
         """Census polynomials c_0..c_order, for order up to MAX_ORDER."""
+        check_size(order, "order")
         if order > MAX_ORDER:
             raise ValueError(f"order {order} is over the cap of {MAX_ORDER}; cost grows steeply")
         fn = kfraction_series if self.elevated else jfraction_series

@@ -114,7 +114,7 @@ def brute_count(family: str, n: int) -> int:
             pat.ends_at(prefix.values, i, v) for pat in patterns
         )
 
-    def leaf(values, stats):
+    def leaf(values):
         nonlocal total
         total += 1
 

@@ -2,12 +2,11 @@
 
 Ground truth for everything the continued fractions claim: sum statistic
 monomials over every class member directly, reading no path or continued
-fraction.  Every class but three is tallied at every size up to n by one
-forward dynamic program over placement states
-(:func:`motzkinperm._kernels.state_tallies`).  The three noncrossing
-classes, whose rule reads the closing cycle, and :func:`members` run the
-depth-first prefix walk (:func:`motzkinperm._kernels.prefix_walk`), which
-skips every placement the class's exact rules refuse and so reaches only
+fraction.  Every class is tallied at every size up to n by one forward
+dynamic program over placement states
+(:func:`motzkinperm._kernels.state_tallies`); :func:`members` runs the
+depth-first prefix walk (:func:`motzkinperm._kernels.prefix_walk`).  Both
+skip every placement the class's exact rules refuse and so reach only
 members.  Cost still grows fast with the size, so each class has a tally
 cap (:attr:`motzkinperm.subsets.ClassSpec.brute_cap`, 14 for the whole
 group) and a walk cap for :func:`members` (``walk_cap``, :data:`MAX_BRUTE_N`
@@ -30,28 +29,10 @@ def _check_size(n: int, cap: int = MAX_BRUTE_N) -> None:
         raise ValueError(f"brute force over size {n} is refused; the cap is {cap}")
 
 
-def _walk_class(n: int, subset: SubsetId, visit) -> None:
-    """Call ``visit(values, stats)`` on each member of size n, in lexicographic
-    order; ``values`` is the walk's 1-based list, reused."""
-    spec = subset.spec
-    _check_size(n, spec.walk_cap)
-    if n or not spec.elevated:
-        _kernels.prefix_walk(n, visit, spec.prefix_ok)
-
-
 def _tallies(subset: SubsetId, first: int, last: int) -> list[dict[tuple, int]]:
     """{stat tuple: multiplicity} over the class members of each size first..last."""
     spec = subset.spec
     _check_size(last, spec.brute_cap)
-    if not spec.one_pass:
-        tallies = [{} for _ in range(first, last + 1)]
-        for n, tally in enumerate(tallies, first):
-
-            def add(values, stats, tally=tally):
-                tally[stats] = tally.get(stats, 0) + 1
-
-            _walk_class(n, subset, add)
-        return tallies
     tallies = _kernels.state_tallies(last, spec.prefix_ok)[first:]
     if spec.elevated and first == 0:
         tallies[0] = {}
@@ -85,7 +66,7 @@ def distribution(
 def distributions(
     n_max: int, subset: SubsetId = SubsetId.ALL, marks: Iterable[str] = VARS
 ) -> list[MultiPoly]:
-    """:func:`distribution` at every size 0..n_max, in one pass where the class allows."""
+    """:func:`distribution` at every size 0..n_max, from one pass."""
     keep = check_marks(marks)
     return [_poly(tally, keep) for tally in _tallies(subset, 0, n_max)]
 
@@ -97,8 +78,11 @@ def count(n: int, subset: SubsetId) -> int:
 
 def members(n: int, subset: SubsetId) -> Iterator[tuple[int, ...]]:
     """The class members of size n, in lexicographic order."""
+    spec = subset.spec
+    _check_size(n, spec.walk_cap)
     found: list[tuple[int, ...]] = []
-    _walk_class(n, subset, lambda values, stats: found.append(tuple(values[1:])))
+    if n or not spec.elevated:
+        _kernels.prefix_walk(n, lambda values: found.append(tuple(values[1:])), spec.prefix_ok)
     return iter(found)
 
 
@@ -113,7 +97,7 @@ def consecutive_123_distribution(n: int) -> MultiPoly:
     _check_size(n)
     acc: dict[tuple[int, ...], int] = {}
 
-    def add(values, stats):
+    def add(values):
         key = (0, 0, count_consecutive_123(values[1:]), 0, 0)
         acc[key] = acc.get(key, 0) + 1
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from ._kernels import check_size
 from .perms import (
     DiagonalType,
     Permutation,
@@ -247,7 +248,6 @@ def enumerate_paths(
             yield from walk(pos + 1, h + 1)
             pairs.pop()
 
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
+    check_size(n, "path length")
     if n or not elevated:
         yield from walk(0, 0)

@@ -5,17 +5,18 @@ step weights its members induce on colored Motzkin paths and, where one is
 known, a closed form for its counts; :data:`CLASSES` holds one
 :class:`ClassSpec` per :class:`SubsetId`, and adding a class means adding one
 record there.  Each condition is defined once, as an exact rule on the
-placements pi(i) = v made in order, so :func:`is_member` and the brute-force
-walk ask the same rules and nothing is re-checked at a leaf.  Noncrossing is
-such a conjunction too: an upper bounce of the diagram is a double excedance
-and a down step a cyclic peak, so its members are the unimodal noncrossing
-permutations with no double excedance.
+placements pi(i) = v made in order, so :func:`is_member`, the brute-force
+walk and the forward pass over placement states ask the same rules and
+nothing is re-checked at a leaf.  Noncrossing is such a conjunction too: an
+upper bounce of the diagram is a double excedance and a down step a cyclic
+peak, so its members are the unimodal noncrossing permutations with no
+double excedance.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
+from bisect import bisect_left
 from math import comb
 from typing import Callable, NamedTuple, Sequence
 
@@ -124,26 +125,28 @@ def has_unimodal_cycles(prefix, i, v):
     return v >= i or h == i or v == h
 
 
-def has_noncrossing_cycles(prefix, i, v):
-    """The set partition induced by the cycles is noncrossing.
-
-    A cycle closes at its maximum i.  Then no element of it may lie between x
-    and pi(x), for any other x strictly between its minimum and i: x's cycle
-    stays in x's gap of this one unless the two cross.  Of two crossing
-    cycles, the other enters the span of the first to close and leaves the
-    gap it entered from an entry placed by then.
+def has_unimodal_noncrossing_cycles(prefix, i, v):
+    """Every cycle rises and then falls, and the cycles' set partition is
+    noncrossing.  The unimodal rule above keeps each open cycle one chain,
+    its head below i and its tail at or above i, and noncrossing open chains
+    nest like a stack: a later head, a smaller tail.  So pi(i) = v < i closes
+    the chain that ends at i, or, where none does, puts i in front of the
+    innermost chain, whose head is the largest unused value below i; and
+    v > i passes no tail, no position t with i < t < v already some pi(j).
+    A member keeps its open chains a stack, so it passes every placement;
+    a placement that passes lays its arc between i and v inside every chain
+    that encloses i, so no two cycles of a permutation that passes cross.
     """
-    if v != prefix.head[i] or v == i:
-        return True
-    values = prefix.values
-    on_cycle = bytearray(len(values))
-    on_cycle[i] = 1
-    while v != i:
-        on_cycle[v] = 1
-        v = values[v]
-    upto = list(accumulate(on_cycle))  # upto[y]: elements of the cycle <= y
-    low = on_cycle.index(1)
-    return all(upto[values[x]] == upto[x] for x in range(low + 1, i) if not on_cycle[x])
+    head = prefix.head
+    if v < i:
+        if head[i] != i:
+            return v == head[i]
+        unused = prefix.unused
+        return v == unused[bisect_left(unused, i) - 1]
+    for t in range(i + 1, v):
+        if head[t] != t:
+            return False
+    return True
 
 
 def has_no_nested_fixed_point(prefix, i, v):
@@ -182,11 +185,13 @@ class ClassSpec(NamedTuple):
     """One permutation class: membership, path step weights and closed form.
 
     ``requires`` is a conjunction of the membership rules above, and
-    :attr:`prefix_ok` joins them.  ``brute_cap`` is the largest size the
-    oracle tallies and ``walk_cap`` (9 without a rule) the largest that
-    ``oracle.members`` lists, each the largest n counted in about 10 s and
-    none past ``cfrac.MAX_ORDER`` (24), which a census compares with; beside
-    each are the CPU time and peak memory of ``oracle.count`` there (pure
+    :attr:`prefix_ok` joins them; each rule reads only ``top``, ``head`` and
+    ``unused`` of its view, so one forward pass tallies every class.
+    ``brute_cap`` is the largest size the oracle tallies, the largest n
+    counted in about 10 s and none past ``cfrac.MAX_ORDER`` (24), which a
+    census compares with; beside it are the CPU time and peak memory of
+    ``oracle.count`` there.  ``walk_cap`` (9 without a rule) is the largest
+    size ``oracle.members`` lists, and beside it its CPU time there (pure
     Python 3.11.7 on a 2-core x86-64 virtual machine).
     ``down(h, x, v, w, t, q)`` is the total weight of a down step falling
     from height h >= 1, and ``level(h, x, v, w, t, q)`` returns the level
@@ -219,13 +224,6 @@ class ClassSpec(NamedTuple):
             return True
 
         return all_pass
-
-    @property
-    def one_pass(self) -> bool:
-        """Whether one forward pass (:func:`motzkinperm._kernels.state_tallies`)
-        tallies the class: every rule but :func:`has_noncrossing_cycles`,
-        which reads the closing cycle, reads only what a state fixes."""
-        return has_noncrossing_cycles not in self.requires
 
 
 CLASSES: dict[SubsetId, ClassSpec] = {
@@ -262,7 +260,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=18, walk_cap=13,  # 4.3 s, 132 MB; the walk 8.1 s
     ),
     SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: ClassSpec(
-        (has_unimodal_cycles, has_noncrossing_cycles, has_no_nested_fixed_point),
+        (has_unimodal_noncrossing_cycles, has_no_nested_fixed_point),
         "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (4 * h - 3),
         level=lambda h, x, v, w, t, q: (
@@ -270,14 +268,14 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             else (0, v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=catalan_numbers,
-        brute_cap=11, walk_cap=11,  # the walk: 5.8 s, 15 MB
+        brute_cap=21, walk_cap=11,  # 5.2 s, 118 MB; the walk 0.33 s
     ),
     SubsetId.NONCROSSING: ClassSpec(
-        (has_no_double_excedance, has_unimodal_cycles, has_noncrossing_cycles), "xvw",
+        (has_no_double_excedance, has_unimodal_noncrossing_cycles), "xvw",
         down=lambda h, x, v, w, t, q: v,
         level=lambda h, x, v, w, t, q: (x, 0, 0 if h == 0 else 1),
         closed=catalan_numbers,
-        brute_cap=11, walk_cap=11,  # the walk: 2.4 s, 15 MB
+        brute_cap=23, walk_cap=11,  # 10.0 s, 164 MB; the walk 0.31 s
     ),
     SubsetId.INCREASING_EXC: ClassSpec(
         (has_increasing_excedance_values,), "xvwt",
@@ -323,14 +321,14 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=18, walk_cap=11,  # 10.0 s, 246 MB; the walk 3.0 s
     ),
     SubsetId.UNIMODAL_NONCROSSING: ClassSpec(
-        (has_unimodal_cycles, has_noncrossing_cycles), "xvwtq",
+        (has_unimodal_noncrossing_cycles,), "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (4 * h - 3),
         level=lambda h, x, v, w, t, q: (
             (x * t, 0, 0) if h == 0
             else (x * t * q ** (2 * h), v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=ogf_increasing_exc_def_counts,
-        brute_cap=10, walk_cap=10,  # the walk: 2.5 s, 15 MB
+        brute_cap=20, walk_cap=10,  # 6.1 s, 104 MB; the walk 0.29 s
     ),
     SubsetId.NO_DOUBLE_EXC_OR_DEF: ClassSpec(
         (has_no_double_excedance_or_deficiency,), "xvwt",

@@ -211,6 +211,11 @@ def has_noncrossing_cycles(values: Sequence[int]) -> bool:
     return True
 
 
+def has_unimodal_noncrossing_cycles(values: Sequence[int]) -> bool:
+    """Every cycle rises then falls, and the cycles' set partition is noncrossing."""
+    return has_unimodal_cycles(values) and has_noncrossing_cycles(values)
+
+
 def has_no_nested_fixed_point(values: Sequence[int]) -> bool:
     """No fixed point j sits under an arc: i < j < k with pi(i)=k or pi(k)=i."""
     n = len(values)
@@ -252,7 +257,7 @@ ONE_PASS = {
         has_increasing_weak_excedance_values,
         has_increasing_deficiency_values,
         has_unimodal_cycles,
-        has_noncrossing_cycles,
+        has_unimodal_noncrossing_cycles,
         has_no_nested_fixed_point,
         has_no_double_excedance,
         has_no_double_excedance_or_deficiency,

@@ -340,12 +340,7 @@ def test_console_script_installed(tmp_path):
     assert json.loads(proc.stdout)["excedances"] == 2
 
 
-def test_check_prints_the_same_under_the_benchmark_tracer(tmp_path):
-    """``perfbench/tracer.py`` rebinds every public function that a module
-    imports by name to a wrapper, so code that compares such a name with the
-    original function object can pass plainly and fail traced.  ``check``
-    dispatches every class, so its traced output must match the plain one."""
-    argv = ["check", "--n-max", "6", "--json"]
+def _assert_same_under_the_benchmark_tracer(argv, tmp_path):
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     env = {**os.environ, "PYTHONPATH": PACKAGE_PARENT}
     plain, traced = (
@@ -358,6 +353,22 @@ def test_check_prints_the_same_under_the_benchmark_tracer(tmp_path):
     assert plain.returncode == 0, plain.stderr
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
+
+
+def test_check_prints_the_same_under_the_benchmark_tracer(tmp_path):
+    """``perfbench/tracer.py`` rebinds every public function that a module
+    imports by name to a wrapper, so code that compares such a name with the
+    original function object can pass plainly and fail traced.  ``check``
+    dispatches every class, so its traced output must match the plain one."""
+    _assert_same_under_the_benchmark_tracer(["check", "--n-max", "6", "--json"], tmp_path)
+
+
+def test_census_prints_the_same_under_the_benchmark_tracer(tmp_path):
+    """A marked noncrossing census, as the benchmark's dearest class jobs run
+    it, prints the same traced as plain."""
+    argv = ["census", "--subset", "UnimodalNoncrossing", "--n-max", "8",
+            "--marks", "xvwtq", "--sources", "bf,cf", "--json"]
+    _assert_same_under_the_benchmark_tracer(argv, tmp_path)
 
 
 # -- the JSON writer ----------------------------------------------------------

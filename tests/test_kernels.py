@@ -80,12 +80,12 @@ def test_census_agrees_with_per_perm_tally():
 def test_census_at_nine_equals_the_walk_tally():
     # the dynamic program against the walk that visits every permutation
     walked = Counter()
-    prefix_walk(9, lambda values, stats: walked.update((stats,)))
+    prefix_walk(9, lambda values: walked.update((stat_tuple(values[1:]),)))
     assert state_tallies(9)[9] == walked
 
 
-# the classes one pass tallies at every size: their rules read only the state
-ONE_PASS = [s for s in SubsetId if s.spec.one_pass]
+# one pass tallies every class at every size: its rules read only the state
+ONE_PASS = list(SubsetId)
 
 
 def _walk_tallies(n_max, subset):
@@ -93,7 +93,9 @@ def _walk_tallies(n_max, subset):
     tallies = []
     for n in range(n_max + 1):
         tallies.append(Counter())
-        prefix_walk(n, lambda values, stats: tallies[-1].update((stats,)), subset.spec.prefix_ok)
+        prefix_walk(
+            n, lambda values: tallies[-1].update((stat_tuple(values[1:]),)), subset.spec.prefix_ok
+        )
     return tallies
 
 

@@ -7,6 +7,9 @@ import math
 import pytest
 
 from motzkinperm.bell import set_partitions
+from motzkinperm.cfrac import jfraction_series, kfraction_series
+from motzkinperm.paths import enumerate_paths
+from motzkinperm.schemes import scheme_for
 from motzkinperm.sequences import (
     baxter_numbers,
     bell_numbers,
@@ -169,6 +172,26 @@ def test_closed_form_refuses_a_negative_size(subset):
 def test_every_sequence_refuses_a_negative_size(sequence):
     with pytest.raises(ValueError, match="nonnegative"):
         sequence(-1)
+
+
+@pytest.mark.parametrize("size", [2.5, "3", None], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        factorials,
+        lambda n: closed_form_counts(SubsetId.ALL, n),
+        lambda n: list(set_partitions(n)),
+        lambda n: list(enumerate_paths(n)),
+        lambda n: jfraction_series(lambda h: 1, lambda h: 1, n),
+        lambda n: kfraction_series(lambda h: 1, lambda h: 1, n),
+        lambda n: scheme_for(SubsetId.ALL, "x").series(n),
+    ],
+    ids=["factorials", "closed_form_counts", "set_partitions", "enumerate_paths",
+         "jfraction_series", "kfraction_series", "series"],
+)
+def test_every_size_taker_refuses_a_size_that_is_not_an_int(call, size):
+    with pytest.raises(ValueError, match="must be an int"):
+        call(size)
 
 
 def test_zero_length_prefixes():

@@ -15,7 +15,7 @@ from motzkinperm.schemes import scheme_for
 from motzkinperm.subsets import (
     SubsetId,
     has_no_nested_fixed_point,
-    has_noncrossing_cycles,
+    has_unimodal_noncrossing_cycles,
     is_cyclic,
     is_member,
 )
@@ -71,7 +71,8 @@ def test_noncrossing_cycles_against_arc_crossing_definition():
                                 l > k for l in blocks[b]
                             ):
                                 crossing = True
-            assert _every_prefix_passes(perm, has_noncrossing_cycles) == (not crossing)
+            expect = cycles_rise_then_fall(perm) and not crossing
+            assert _every_prefix_passes(perm, has_unimodal_noncrossing_cycles) == expect
 
 
 def test_unimodal_cycles_small_cases():
@@ -91,7 +92,7 @@ def test_noncrossing_class_is_noncrossing_decreasing_cycles():
                     decreasing = False
                 if any(perm[s[i] - 1] != s[i - 1] for i in range(1, len(s))):
                     decreasing = False
-            expect = decreasing and _every_prefix_passes(perm, has_noncrossing_cycles)
+            expect = decreasing and _every_prefix_passes(perm, has_unimodal_noncrossing_cycles)
             assert is_member(perm, SubsetId.NONCROSSING) == expect
 
 
@@ -181,7 +182,7 @@ def test_membership_of_a_list_mutated_in_place_is_fresh():
     values[:] = [3, 4, 1, 2]
     assert not is_member(values, SubsetId.CYCLIC)
     assert is_member(values, SubsetId.UNIMODAL_CYCLES)
-    assert not _every_prefix_passes(values, has_noncrossing_cycles)
+    assert not _every_prefix_passes(values, has_unimodal_noncrossing_cycles)
     assert not is_member(values, SubsetId.UNIMODAL_NONCROSSING)
     values[:] = [2, 1, 4, 3]
     assert is_member(values, SubsetId.UNIMODAL_NONCROSSING)
@@ -300,7 +301,9 @@ def test_place_joins_the_chains_as_prefix_view_does():
             prefix.place(i, v)
             expect = prefix_view(perm[:i], 6)
             assert prefix.values == expect.values
-            assert prefix.unused == expect.unused[:1]
+            # the smallest unused value and the largest up to i
+            below = [u for u in expect.unused if u <= i]
+            assert prefix.unused == sorted({*expect.unused[:1], *below[-1:]})
             assert prefix.top == expect.top
             assert (prefix.head, prefix.tail) == (expect.head, expect.tail)
 
@@ -318,5 +321,5 @@ def test_the_walk_shows_its_prefix_tests_what_prefix_view_builds():
         seen.append(i)
         return True
 
-    prefix_walk(n, lambda values, stats: None, record)
+    prefix_walk(n, lambda values: None, record)
     assert len(seen) == sum(math.perm(n, k) for k in range(1, n + 1))
