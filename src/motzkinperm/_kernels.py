@@ -5,15 +5,17 @@ points, excedances, double excedances and cycles, with a Fenwick tree
 counting inversions.  It assumes a valid permutation;
 :func:`motzkinperm.perms.stats` is the checked entry point.
 :func:`prefix_walk` walks the one-line prefixes of S_n depth first (Knuth,
-TAOCP 4A, 7.2.1.2), skipping every placement a class's rule refuses; the
-rules are exact, so it reaches the class's members and nothing else.
+TAOCP 4A, 7.2.1.2), skipping every placement a class's rule refuses, and
+yields each permutation it reaches; the rules are exact, so those are the
+class's members and nothing else.
 :func:`state_tallies` tallies the statistics of a class at every size up to
 n at once, without visiting each member: a forward dynamic program over the
 walk's placement states that merges prefixes whose relabelled states agree
 (the whole group up to n = 9 in 0.03 s, against 0.2 s for a memoized
 recursion per size; CPU time, Python 3.11.7 on a 2-core x86-64 virtual
-machine).  Its rule may read ``top``, ``head`` and ``unused`` but not
-``values``, and every class rule keeps to that.
+machine).  It carries only the statistics a caller marks, so a plain count
+holds one int per state.  Its rule may read ``top``, ``head`` and
+``unused`` but not ``values``, and every class rule keeps to that.
 ``BACKEND`` names the kernel that runs; the benchmark probe reads it.
 """
 
@@ -23,8 +25,8 @@ BACKEND = "pure"
 
 
 def check_size(n, name: str = "size") -> None:
-    """Refuse a size that is not a nonnegative int."""
-    if not isinstance(n, int):
+    """Refuse a size that is not a nonnegative int; a bool is not a size."""
+    if type(n) is not int:
         raise ValueError(f"{name} must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be nonnegative")
@@ -125,49 +127,58 @@ class Prefix:
             self.head[t], self.tail[h] = h, t
 
 
-def prefix_walk(n, visit, prefix_ok=None):
-    """Call ``visit(values)`` on each permutation of S_n, in lexicographic order.
+def prefix_walk(n, prefix_ok=None):
+    """Yield each permutation of S_n, in lexicographic order.
 
     The walk places pi(1), pi(2), ... depth first (Knuth, TAOCP 4A, 7.2.1.2,
     Algorithm X), position i taking each unused value in turn.  With
     ``prefix_ok(prefix, i, v)`` given, a value is tried only where it returns
-    True for the :class:`Prefix` view, so whole subtrees are skipped and
-    ``visit`` sees exactly the permutations whose every placement passes.
-    ``values`` is the list of the view, 1-based and reused: copy what you keep.
+    True for the :class:`Prefix` view, so whole subtrees are skipped and the
+    walk yields exactly the permutations whose every placement passes.  Each
+    is yielded as ``values``, the list of the view, 1-based and reused: copy
+    what you keep.  The size is checked when the walk starts.  The walk
+    keeps its own stack, so it yields from one frame, not one per position.
     """
     check_size(n)
     prefix = Prefix(n)
     values, unused, head, tail = prefix.values, prefix.unused, prefix.head, prefix.tail
-
-    def walk(i):
+    if not n:
+        yield values
+        return
+    ks, tops = [0] * n, [0] * n  # at each position: the index in unused of its value, top before it
+    i, k = 1, 0  # next, try unused[k] at position i
+    while True:
         if i == n:  # the last value left
             v = unused[0]
             if prefix_ok is None or prefix_ok(prefix, i, v):
                 values[i] = v
-                visit(values)
-            return
-        h = head[i]
-        top = prefix.top
-        for k, v in enumerate(unused):
-            if prefix_ok is not None and not prefix_ok(prefix, i, v):
+                yield values
+        else:
+            if prefix_ok is not None:
+                while k <= n - i and not prefix_ok(prefix, i, unused[k]):
+                    k += 1
+            if k <= n - i:
+                v = values[i] = unused[k]
+                del unused[k]
+                ks[i] = k
+                top = tops[i] = prefix.top
+                if v > top:
+                    prefix.top = v
+                h = head[i]
+                if v != h:  # join the chain headed by v, ending at some t > i, to h's
+                    head[tail[v]], tail[h] = h, tail[v]
+                i, k = i + 1, 0
                 continue
-            values[i] = v
-            prefix.top = v if v > top else top
-            del unused[k]
-            if v == h:
-                walk(i + 1)
-            else:
-                t = tail[v]
-                head[t], tail[h] = h, t
-                walk(i + 1)
-                head[t], tail[h] = v, i
-            unused.insert(k, v)
-            prefix.top = top
-
-    if n:
-        walk(1)
-    else:
-        visit(values)
+        i -= 1  # undo the placement at i, then try the next value there
+        if not i:
+            return
+        v, h = values[i], head[i]
+        if v != h:
+            head[tail[h]], tail[h] = v, i
+        k = ks[i]
+        unused.insert(k, v)
+        prefix.top = tops[i]
+        k += 1
 
 
 class _State(Prefix):
@@ -180,7 +191,7 @@ class _State(Prefix):
         self.unused, self.top, self.head = unused, top, head
 
 
-def state_tallies(n_max, rule=None):
+def state_tallies(n_max, rule=None, marks="xvwtq"):
     """Tally :func:`stat_tuple` over the members of every size 0..n_max at once.
 
     Entry m of the returned list is ``{stat tuple: multiplicity}`` over the
@@ -196,13 +207,17 @@ def state_tallies(n_max, rule=None):
     ``top``, ``head`` and ``unused`` of its :class:`Prefix` view, but not
     ``values``, which a state does not hold.  The state at level m + 1 with
     ``top == m`` holds the permutations of 1..m, which every rule reads as
-    at size m.  The sum still runs over every member, and reads no path or
-    continued fraction.
+    at size m.  Only the statistics whose markers (x, v, w, t, q, in tuple
+    order) are in ``marks`` are carried; the others read 0, so with no
+    marker each state holds one int.  The sum still runs over every member,
+    and reads no path or continued fraction.
     """
     check_size(n_max)
     n = n_max
     width = max(1, (n * n).bit_length())  # each statistic <= n*n < 2**width: sums never carry
-    fix, exc, dexc, cyc = (1 << k * width for k in (4, 3, 2, 1))
+    fix, exc, dexc, cyc, inv = (
+        1 << k * width if m in marks else 0 for k, m in zip((4, 3, 2, 1, 0), "xvwtq")
+    )
     level = {None: (_State(list(range(1, n + 1)), 0, list(range(n + 1))), {0: 1})}
     packed = []
     for i in range(1, n + 2):
@@ -218,7 +233,7 @@ def state_tallies(n_max, rule=None):
             for k, v in enumerate(unused):
                 if rule is not None and not rule(state, i, v):
                     continue
-                step = k + (above if v > i else fix if v == i else 0) + (cyc if v == h else 0)
+                step = k * inv + (above if v > i else fix if v == i else 0) + (cyc if v == h else 0)
                 rest = unused[:k] + unused[k + 1 :]
                 heads = head[:]
                 if v != h:  # v heads the chain that ends at an open t > i: join it to h

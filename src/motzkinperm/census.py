@@ -19,7 +19,7 @@ from .invert import RecoveryStatus, classify_weights, invert_jfraction, regenera
 from .oracle import MAX_BRUTE_N, consecutive_123_distribution, distributions, members
 from .paths import enumerate_paths, path_to_perm, perm_to_path
 from .perms import random_permutation, stats
-from .polys import check_marks
+from .polys import MultiPoly, check_marks
 from .schemes import scheme_for
 from .sequences import (
     baxter_numbers,
@@ -149,19 +149,29 @@ def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
 
 
 def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
-    """Counts of every class, each up to its own cap."""
+    """Every class's census with all its markers against its continued
+    fraction, and its counts against its closed form, each up to its own cap;
+    All once with t and once with q, which no scheme carries together."""
     failures: list[str] = []
     for subset in SubsetId:
         top = min(max_n, subset.spec.brute_cap)
-        counted = [p.value_at_ones() for p in distributions(top, subset, "")]
-        series = scheme_for(subset, "").counts(top)
-        for source, want in (("fraction", series), ("closed form", closed_form_counts(subset, top))):
+        for marks in ("xvwt", "xvwq") if subset is SubsetId.ALL else (subset.spec.marks,):
+            counted = distributions(top, subset, marks)
+            series = scheme_for(subset, marks).series(top)
             for n in range(top + 1):
-                if want is not None and want[n] != counted[n]:
+                if series[n] != counted[n]:
+                    exps = (series[n] - counted[n]).to_terms()[0][0]
                     failures.append(
-                        f"{subset.value} {source} says {want[n]} at n={n}, "
-                        f"enumeration says {counted[n]}"
+                        f"{subset.value} marks {marks} at n={n}: the coefficient of "
+                        f"{MultiPoly.monomial(exps)} is {series[n].coefficient(exps)} by "
+                        f"the fraction, {counted[n].coefficient(exps)} by enumeration"
                     )
+        for n, want in enumerate(closed_form_counts(subset, top) or ()):
+            if want != counted[n].value_at_ones():
+                failures.append(
+                    f"{subset.value} closed form says {want} at n={n}, "
+                    f"enumeration says {counted[n].value_at_ones()}"
+                )
     return failures
 
 

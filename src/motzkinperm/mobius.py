@@ -107,16 +107,10 @@ def brute_count(family: str, n: int) -> int:
             f"cycles; the cap is {BRUTE_CAP}"
         )
     patterns = [Pattern(tuple(int(c) for c in pat)) for pat in key.split(",")]
-    total = 0
 
     def prefix_ok(prefix, i, v):
         return is_cyclic(prefix, i, v) and not any(
             pat.ends_at(prefix.values, i, v) for pat in patterns
         )
 
-    def leaf(values):
-        nonlocal total
-        total += 1
-
-    _kernels.prefix_walk(n, leaf, prefix_ok)
-    return total
+    return sum(1 for _ in _kernels.prefix_walk(n, prefix_ok))

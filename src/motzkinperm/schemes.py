@@ -34,10 +34,6 @@ def scheme_names() -> tuple[str, ...]:
     return tuple(s.value for s in SubsetId) + tuple(EXTRA_SCHEMES)
 
 
-def _poly(weight: MultiPoly | int) -> MultiPoly:
-    return weight if isinstance(weight, MultiPoly) else MultiPoly.const(weight)
-
-
 def scheme_for(
     subset: SubsetId | str, marks: Iterable[str] | None = None
 ) -> WeightScheme:
@@ -79,8 +75,8 @@ def scheme_for(
     xvwtq = tuple(MultiPoly.var(m) if m in chosen else MultiPoly.one() for m in VARS)
     return WeightScheme(
         name,
-        down=lambda h: _poly(spec.down(h, *xvwtq)),
-        level=lambda h: _poly(sum(spec.level(h, *xvwtq))),
+        down=lambda h: MultiPoly.zero() + spec.down(h, *xvwtq),  # a weight may be an int
+        level=lambda h: sum(spec.level(h, *xvwtq), MultiPoly.zero()),
         elevated=spec.elevated,
         marks=chosen,
     )

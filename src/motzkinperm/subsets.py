@@ -187,12 +187,13 @@ class ClassSpec(NamedTuple):
     ``requires`` is a conjunction of the membership rules above, and
     :attr:`prefix_ok` joins them; each rule reads only ``top``, ``head`` and
     ``unused`` of its view, so one forward pass tallies every class.
-    ``brute_cap`` is the largest size the oracle tallies, the largest n
-    counted in about 10 s and none past ``cfrac.MAX_ORDER`` (24), which a
-    census compares with; beside it are the CPU time and peak memory of
-    ``oracle.count`` there.  ``walk_cap`` (9 without a rule) is the largest
-    size ``oracle.members`` lists, and beside it its CPU time there (pure
-    Python 3.11.7 on a 2-core x86-64 virtual machine).
+    ``brute_cap`` is the largest size the oracle tallies: where a pass with
+    all five statistics took about 10 s, and none past ``cfrac.MAX_ORDER``
+    (24), which a census compares with; beside it are the CPU time and peak
+    memory of ``oracle.distributions(brute_cap, subset, marks)`` there.
+    ``walk_cap`` (9 without a rule) is the largest size ``oracle.members``
+    lists, and beside it its CPU time there (pure Python 3.11.7 on a 2-core
+    x86-64 virtual machine).
     ``down(h, x, v, w, t, q)`` is the total weight of a down step falling
     from height h >= 1, and ``level(h, x, v, w, t, q)`` returns the level
     weights at height h split as (fixed, upper bounce, lower bounce); markers
@@ -240,7 +241,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             lower,
         ),
         closed=factorials,
-        brute_cap=14,  # 6.2 s, 99 MB
+        brute_cap=14,  # 6.0 s, 94 MB
     ),
     SubsetId.CYCLIC: ClassSpec(
         (is_cyclic,), "xvw",
@@ -248,7 +249,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x if h == 0 else 0, h * v * w, h),
         elevated=True,
         closed=lambda n: [0] + factorials(n - 1) if n else [0],
-        brute_cap=14, walk_cap=10,  # 4.7 s, 59 MB; the walk 1.4 s
+        brute_cap=14, walk_cap=10,  # 2.3 s, 47 MB; the walk 0.72 s
     ),
     SubsetId.AVOID321: ClassSpec(
         (avoids_321,), "xvwq",
@@ -257,7 +258,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             (x, 0, 0) if h == 0 else (0, v * w * q**h, q**h)
         ),
         closed=catalan_numbers,
-        brute_cap=18, walk_cap=13,  # 4.3 s, 132 MB; the walk 8.1 s
+        brute_cap=18, walk_cap=13,  # 4.3 s, 120 MB; the walk 1.2 s
     ),
     SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: ClassSpec(
         (has_unimodal_noncrossing_cycles, has_no_nested_fixed_point),
@@ -268,27 +269,27 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             else (0, v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=catalan_numbers,
-        brute_cap=21, walk_cap=11,  # 5.2 s, 118 MB; the walk 0.33 s
+        brute_cap=21, walk_cap=11,  # 5.9 s, 118 MB; the walk 0.17 s
     ),
     SubsetId.NONCROSSING: ClassSpec(
         (has_no_double_excedance, has_unimodal_noncrossing_cycles), "xvw",
         down=lambda h, x, v, w, t, q: v,
         level=lambda h, x, v, w, t, q: (x, 0, 0 if h == 0 else 1),
         closed=catalan_numbers,
-        brute_cap=23, walk_cap=11,  # 10.0 s, 164 MB; the walk 0.31 s
+        brute_cap=23, walk_cap=11,  # 3.8 s, 49 MB; the walk 0.22 s
     ),
     SubsetId.INCREASING_EXC: ClassSpec(
         (has_increasing_excedance_values,), "xvwt",
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
-        brute_cap=16, walk_cap=10,  # 7.5 s, 117 MB; the walk 1.9 s
+        brute_cap=16, walk_cap=10,  # 1.9 s, 38 MB; the walk 0.47 s
     ),
     SubsetId.INCREASING_WEAK_EXC: ClassSpec(
         (has_increasing_weak_excedance_values,), "xvwt",
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0) if h == 0 else (0, v * w, h),
         closed=bell_numbers,
-        brute_cap=16, walk_cap=11,  # 4.9 s, 80 MB; the walk 3.3 s
+        brute_cap=16, walk_cap=11,  # 1.9 s, 38 MB; the walk 0.89 s
     ),
     SubsetId.CYCLIC_INCREASING_EXC: ClassSpec(
         (is_cyclic, has_increasing_excedance_values), "xvw",
@@ -296,20 +297,20 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * w, h),
         elevated=True,
         closed=lambda n: [0] + bell_numbers(n - 1) if n else [0],
-        brute_cap=17, walk_cap=12,  # 6.8 s, 91 MB; the walk 3.4 s
+        brute_cap=17, walk_cap=12,  # 3.7 s, 57 MB; the walk 2.2 s
     ),
     SubsetId.UNIMODAL_CYCLES: ClassSpec(
         (has_unimodal_cycles,), "xvwt",
         down=lambda h, x, v, w, t, q: h * v * t,
         level=lambda h, x, v, w, t, q: (x * t, h * v * w, h),
         closed=egf_unimodal_cycle_counts,
-        brute_cap=14, walk_cap=10,  # 4.0 s, 82 MB; the walk 4.9 s
+        brute_cap=14, walk_cap=10,  # 2.1 s, 49 MB; the walk 1.0 s
     ),
     SubsetId.UNIMODAL_CYCLES_INCREASING_EXC: ClassSpec(
         (has_unimodal_cycles, has_increasing_excedance_values), "xvwt",
         down=lambda h, x, v, w, t, q: v * t,
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
-        brute_cap=17, walk_cap=11,  # 9.6 s, 172 MB; the walk 8.0 s
+        brute_cap=17, walk_cap=11,  # 3.8 s, 60 MB; the walk 2.2 s
     ),
     SubsetId.INCREASING_EXC_AND_DEF: ClassSpec(
         (has_increasing_excedance_values, has_increasing_deficiency_values), "xvwq",
@@ -318,7 +319,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             (x, 0, 0) if h == 0 else (x * q ** (2 * h), v * w * q**h, q**h)
         ),
         closed=ogf_increasing_exc_def_counts,
-        brute_cap=18, walk_cap=11,  # 10.0 s, 246 MB; the walk 3.0 s
+        brute_cap=18, walk_cap=11,  # 9.1 s, 227 MB; the walk 0.80 s
     ),
     SubsetId.UNIMODAL_NONCROSSING: ClassSpec(
         (has_unimodal_noncrossing_cycles,), "xvwtq",
@@ -328,28 +329,28 @@ CLASSES: dict[SubsetId, ClassSpec] = {
             else (x * t * q ** (2 * h), v * w * q ** (2 * h - 1), q ** (2 * h - 1))
         ),
         closed=ogf_increasing_exc_def_counts,
-        brute_cap=20, walk_cap=10,  # 6.1 s, 104 MB; the walk 0.29 s
+        brute_cap=20, walk_cap=10,  # 4.6 s, 105 MB; the walk 0.14 s
     ),
     SubsetId.NO_DOUBLE_EXC_OR_DEF: ClassSpec(
         (has_no_double_excedance_or_deficiency,), "xvwt",
         down=lambda h, x, v, w, t, q: v * h * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0),
         closed=egf_no_double_step_counts,
-        brute_cap=15, walk_cap=11,  # 9.8 s, 121 MB; the walk 2.3 s
+        brute_cap=15, walk_cap=11,  # 8.0 s, 94 MB; the walk 1.2 s
     ),
     SubsetId.INVOLUTIONS: ClassSpec(
         (is_involution,), "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1) * _qbracket(q * q, h),
         level=lambda h, x, v, w, t, q: (x * t * q ** (2 * h), 0, 0),
         closed=egf_involution_counts,
-        brute_cap=15, walk_cap=13,  # 4.9 s, 126 MB; the walk 4.5 s
+        brute_cap=15, walk_cap=13,  # 3.2 s, 111 MB; the walk 2.3 s
     ),
     SubsetId.INVOLUTIONS321: ClassSpec(
         (is_involution, avoids_321), "xvwtq",
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1),
         level=lambda h, x, v, w, t, q: (x * t if h == 0 else 0, 0, 0),
         closed=lambda n: [comb(k, k // 2) for k in range(n + 1)],
-        brute_cap=24, walk_cap=20,  # 4.8 s, 85 MB (the order cap); the walk 7.9 s
+        brute_cap=24, walk_cap=20,  # 4.3 s, 75 MB (the order cap); the walk 2.7 s
     ),
 }
 

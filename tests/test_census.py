@@ -16,7 +16,7 @@ from motzkinperm.cfrac import WeightScheme
 from motzkinperm.polys import MultiPoly
 from motzkinperm.schemes import scheme_for
 from motzkinperm.sequences import catalan_numbers
-from motzkinperm.subsets import SubsetId
+from motzkinperm.subsets import CLASSES, SubsetId
 
 from reference import variables_used
 
@@ -72,7 +72,7 @@ def test_census_input_validation():
     for subset in SubsetId:
         with pytest.raises(ValueError, match="capped at size"):
             census(subset, subset.spec.brute_cap + 1, sources=("bf",))
-    for size in (2.5, "3", None):
+    for size in (2.5, "3", None, True):
         with pytest.raises(ValueError, match="n_max must be an int"):
             census(SubsetId.ALL, size, sources=("cf",))
 
@@ -123,7 +123,7 @@ def test_corrupted_scheme_is_caught():
 
 
 def test_check_all_refuses_a_bad_size_before_running_any_check():
-    for size in (-1, 2.5, "3", None):
+    for size in (-1, 2.5, "3", None, True):
         with pytest.raises(ValueError, match="max_n must be"):
             check_all(size)
 
@@ -136,3 +136,22 @@ def test_check_all_passes_and_covers_the_advertised_ground():
     names = {r.name for r in results}
     assert "path-bijection" in names
     assert "corrupted-scheme" in names
+
+
+def test_census_subsets_check_catches_a_marker_dropped_from_one_level_weight(monkeypatch):
+    # without w on Avoid321's upper bounce its counts, and every other check, still pass
+    spec = SubsetId.AVOID321.spec
+    monkeypatch.setitem(
+        CLASSES,
+        SubsetId.AVOID321,
+        spec._replace(
+            level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * q**h, q**h)
+        ),
+    )
+    results = check_all(max_n=5)
+    assert [r.name for r in results if not r.passed] == ["census-subsets"]
+    detail = next(r.detail for r in results if r.name == "census-subsets")
+    assert detail.startswith(
+        "Avoid321 marks xvwq at n=3: the coefficient of v^2*w*q^2 is 0 by the fraction, "
+        "1 by enumeration"
+    )

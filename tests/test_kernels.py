@@ -79,8 +79,7 @@ def test_census_agrees_with_per_perm_tally():
 
 def test_census_at_nine_equals_the_walk_tally():
     # the dynamic program against the walk that visits every permutation
-    walked = Counter()
-    prefix_walk(9, lambda values: walked.update((stat_tuple(values[1:]),)))
+    walked = Counter(stat_tuple(values[1:]) for values in prefix_walk(9))
     assert state_tallies(9)[9] == walked
 
 
@@ -90,13 +89,10 @@ ONE_PASS = list(SubsetId)
 
 def _walk_tallies(n_max, subset):
     """The walk's tally of the class at each size 0..n_max."""
-    tallies = []
-    for n in range(n_max + 1):
-        tallies.append(Counter())
-        prefix_walk(
-            n, lambda values: tallies[-1].update((stat_tuple(values[1:]),)), subset.spec.prefix_ok
-        )
-    return tallies
+    return [
+        Counter(stat_tuple(values[1:]) for values in prefix_walk(n, subset.spec.prefix_ok))
+        for n in range(n_max + 1)
+    ]
 
 
 def _one_pass(n_max, subset):
@@ -118,6 +114,25 @@ def test_one_pass_at_nine_equals_the_walk_at_every_size(subset):
     assert _one_pass(9, subset) == _walk_tallies(9, subset)
 
 
+MARKER_SUBSETS = ["".join(m) for r in range(6) for m in itertools.combinations("xvwtq", r)]
+
+
+@pytest.mark.parametrize("subset", ONE_PASS, ids=lambda s: s.value)
+def test_a_marked_pass_is_the_full_pass_with_the_unmarked_statistics_zeroed(subset):
+    rule = subset.spec.prefix_ok
+    full = state_tallies(7, rule)
+    for marks in MARKER_SUBSETS:
+        want = []
+        for tally in full:
+            merged = Counter()
+            for stats, mult in tally.items():
+                merged[tuple(s if m in marks else 0 for s, m in zip(stats, "xvwtq"))] += mult
+            want.append(merged)
+        assert state_tallies(7, rule, marks) == want, marks
+    # with no marker each size is one count
+    assert [list(tally) for tally in state_tallies(7, rule, "")] == [[(0, 0, 0, 0, 0)]] * 8
+
+
 def test_the_pass_over_s9_holds_every_smaller_census():
     assert state_tallies(9) == [state_tallies(n)[n] for n in range(10)]
 
@@ -131,6 +146,6 @@ def test_census_of_the_empty_permutation_and_negative_sizes():
     assert state_tallies(0) == [{(0, 0, 0, 0, 0): 1}]
     with pytest.raises(ValueError):
         state_tallies(-1)
-    for size in (2.5, "3", None):
+    for size in (2.5, "3", None, True):
         with pytest.raises(ValueError, match="size must be an int"):
             state_tallies(size)

@@ -73,13 +73,13 @@ def test_size_cap_is_enforced(monkeypatch):
                 call(cap + 1, subset)
             with pytest.raises(ValueError):
                 call(-1, subset)
-            for size in (2.5, "3", None):
+            for size in (2.5, "3", None, True):
                 with pytest.raises(ValueError, match="must be an int"):
                     call(size, subset)
     for call in (sweep_counts, consecutive_123_distribution):
         with pytest.raises(ValueError, match="the cap is"):
             call(MAX_BRUTE_N + 1)
-        for size in (-1, 2.5, "3", None):
+        for size in (-1, 2.5, "3", None, True):
             with pytest.raises(ValueError):
                 call(size)
 
@@ -147,6 +147,15 @@ def test_members_yields_exactly_the_subset():
     for n in range(6):
         got = list(members(n, SubsetId.AVOID321))
         assert got == [p for p in all_perms(n) if is_member(p, SubsetId.AVOID321)]
+
+
+def test_members_yields_each_member_as_the_walk_reaches_it(monkeypatch):
+    def walk_then_fail(n, prefix_ok=None):
+        yield [0, 2, 1, 3]
+        raise AssertionError("the walk ran past the first member")
+
+    monkeypatch.setattr(motzkinperm._kernels, "prefix_walk", walk_then_fail)
+    assert next(members(3, SubsetId.ALL)) == (2, 1, 3)
 
 
 def test_consecutive_123_distribution_uses_only_w():

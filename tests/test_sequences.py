@@ -174,7 +174,7 @@ def test_every_sequence_refuses_a_negative_size(sequence):
         sequence(-1)
 
 
-@pytest.mark.parametrize("size", [2.5, "3", None], ids=repr)
+@pytest.mark.parametrize("size", [2.5, "3", None, True], ids=repr)
 @pytest.mark.parametrize(
     "call",
     [

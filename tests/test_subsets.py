@@ -321,5 +321,6 @@ def test_the_walk_shows_its_prefix_tests_what_prefix_view_builds():
         seen.append(i)
         return True
 
-    prefix_walk(n, lambda values: None, record)
+    for _ in prefix_walk(n, record):
+        pass
     assert len(seen) == sum(math.perm(n, k) for k in range(1, n + 1))
