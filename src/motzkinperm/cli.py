@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from types import GeneratorType
 from typing import Sequence
 
 from . import __version__, bell, mobius
@@ -37,23 +38,21 @@ from .schemes import scheme_for, scheme_names
 from .subsets import SubsetId
 
 
+class _Terms(list):
+    """Pairs ``(e, c)`` from ``MultiPoly.to_terms()``; ``_write_json`` prints them as ``[c, e]``."""
+
+
 def _poly_json(p: MultiPoly) -> dict:
     terms = p.to_terms()
-    return {"text": format_terms(terms), "terms": [[c, list(e)] for e, c in terms]}
-
-
-def _is_term(t: object) -> bool:
-    """Whether ``t`` is a polynomial term ``[c, [e0, e1, e2, e3, e4]]`` of ints."""
-    if type(t) is not list or len(t) != 2 or type(t[1]) is not list or len(t[1]) != 5:
-        return False
-    return all(type(v) is int for v in (t[0], *t[1]))
+    return {"text": format_terms(terms), "terms": _Terms(terms)}
 
 
 def _write_json(o: object, ind: str, out: list[str]) -> None:
     """Append the text of ``json.dumps(o, indent=2)``, nested at indent ``ind``.
 
     Dict keys must be str.  A plain int is written with ``int.__repr__``, as
-    json does.  A list of polynomial terms is written in one join.
+    json does.  A generator is drawn one item at a time, and ``_Terms`` give
+    rows.  Between array items, 256 pieces in ``out`` go to stdout in one write.
     """
     if type(o) is int:
         out.append(int.__repr__(o))
@@ -61,42 +60,46 @@ def _write_json(o: object, ind: str, out: list[str]) -> None:
         out.append(_json_str(o))
     elif o is None or isinstance(o, (int, float)):
         out.append(json.dumps(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
+    elif isinstance(o, (list, tuple, GeneratorType)):
         inner = ind + "  "
-        if all(map(_is_term, o)):
+        sep = start = f"[\n{inner}"
+        after = f",\n{inner}"
+        terms = type(o) is _Terms
+        if terms:
             i1, i2 = inner + "  ", inner + "    "
-            row = f"{inner}[\n{i1}%d,\n{i1}[\n" + ",\n".join([f"{i2}%d"] * 5) + f"\n{i1}]\n{inner}]"
-            out.append("[\n" + ",\n".join([row % (c, *e) for c, e in o]) + f"\n{ind}]")
-            return
-        sep = f"[\n{inner}"
+            row = f"[\n{i1}%d,\n{i1}[\n" + ",\n".join([f"{i2}%d"] * 5) + f"\n{i1}]\n{inner}]"
         for item in o:
             out.append(sep)
-            sep = f",\n{inner}"
-            _write_json(item, inner, out)
-        out.append(f"\n{ind}]")
+            sep = after
+            if terms:
+                out.append(row % (item[1], *item[0]))
+            else:
+                _write_json(item, inner, out)
+            if len(out) >= 256:  # a write per piece made `map --json` on 5000 entries 10% dearer
+                sys.stdout.write("".join(out))
+                out.clear()
+        out.append("[]" if sep is start else f"\n{ind}]")
     elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
         inner = ind + "  "
-        sep = f"{{\n{inner}"
+        sep = start = f"{{\n{inner}"
+        after = f",\n{inner}"
         for key, value in o.items():
             out.append(f"{sep}{_json_str(key)}: ")
-            sep = f",\n{inner}"
+            sep = after
             _write_json(value, inner, out)
-        out.append(f"\n{ind}}}")
+        out.append("{}" if sep is start else f"\n{ind}}}")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _print_json(data: object) -> None:
-    """Print ``json.dumps(data, indent=2)``, written without the pure-Python encoder."""
+    """Print ``json.dumps(data, indent=2)`` a part at a time, never holding the whole text.
+
+    Parts go to whatever ``sys.stdout`` is as they are written, so ``redirect_stdout`` works."""
     out: list[str] = []
     _write_json(data, "", out)
-    print("".join(out))
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _parse_terms(text: str) -> list[Fraction]:
@@ -149,10 +152,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _census_cell(value: object) -> object:
-    return _poly_json(value) if isinstance(value, MultiPoly) else value
-
-
 def _cmd_census(args: argparse.Namespace) -> int:
     subset = SubsetId.from_name(args.subset)
     sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
@@ -165,7 +164,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 "n_max": report.n_max,
                 "marks": report.marks,
                 "values": {
-                    src: [_census_cell(v) for v in vals]
+                    src: (_poly_json(v) if isinstance(v, MultiPoly) else v for v in vals)
                     for src, vals in report.values.items()
                 },
                 "agreements": report.agreements,
@@ -173,12 +172,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
             }
         )
     elif args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["n", *order])
         for n in range(report.n_max + 1):
             writer.writerow([n, *(str(report.values[src][n]) for src in order)])
-        sys.stdout.write(buf.getvalue())
     else:
         print(f"subset={report.subset} n_max={report.n_max} marks={report.marks or '-'}")
         for n in range(report.n_max + 1):
@@ -199,9 +196,9 @@ def _cmd_cf(args: argparse.Namespace) -> int:
                 "marks": "".join(sorted(scheme.marks)),
                 "elevated": scheme.elevated,
                 "order": args.order,
-                "coefficients": [
+                "coefficients": (
                     {"n": n, **_poly_json(series[n])} for n in range(args.order + 1)
-                ],
+                ),
             }
         )
     else:
@@ -375,7 +372,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone; send what is still buffered to devnull, not to a traceback at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

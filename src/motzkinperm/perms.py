@@ -416,10 +416,6 @@ class Permutation(_Record):
             raise ValueError(f"bad permutation text {text!r}") from exc
         return cls(vals)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.values)

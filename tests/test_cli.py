@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import motzkinperm
 from motzkinperm import cfrac
 from motzkinperm.cfrac import MAX_ORDER
-from motzkinperm.cli import _print_json, main
+from motzkinperm.cli import _print_json, _Terms, main
 
 
 def run(capsys, *argv):
@@ -382,21 +382,63 @@ scalars = (
     | st.text()
     | st.sampled_from(["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "é ∑ 𝔸 \u2028", "\ud800"])
 )
-# Lists shaped like polynomial terms [c, [e0..e4]], mixed with near misses
-# (a bool, a float, four or six exponents) that must not take the fast path.
-entries = st.integers() | st.booleans() | st.floats(allow_nan=False)
-terms = st.lists(
-    st.tuples(st.integers(), st.lists(st.integers(0, 2**70), min_size=5, max_size=5)).map(list)
-    | st.tuples(entries, st.lists(entries, min_size=5, max_size=5)).map(list)
-    | st.tuples(entries, st.lists(entries, min_size=4, max_size=6)).map(list)
-)
+
+
+class Lazy(list):
+    """An array that the writer is handed as a generator."""
+
+
+class Rows(list):
+    """A polynomial's ``(exponents, c)`` pairs, handed to the writer as ``_Terms``."""
+
+
+rows = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2**70)] * 5), st.integers(-(2**70), 2**70))
+).map(Rows)
 documents = st.recursive(
-    scalars | terms,
+    scalars | rows,
     lambda inner: st.lists(inner)
     | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner).map(Lazy)
     | st.dictionaries(st.text(), inner),
     max_leaves=40,
 )
+
+
+def _handed(o: object) -> object:
+    """The document as the writer gets it: ``Lazy`` as a generator, ``Rows`` as ``_Terms``."""
+    if type(o) is Rows:
+        return _Terms(o)
+    if type(o) is Lazy:
+        return (_handed(item) for item in o)
+    if isinstance(o, (list, tuple)):
+        return type(o)(map(_handed, o))
+    if isinstance(o, dict):
+        return {key: _handed(value) for key, value in o.items()}
+    return o
+
+
+def _listed(o: object) -> object:
+    """The document as ``json.dumps`` gets it: every term a row ``[c, [e0..e4]]``."""
+    if type(o) is Rows:
+        return [[c, list(e)] for e, c in o]
+    if isinstance(o, (list, tuple)):
+        return [_listed(item) for item in o]
+    if isinstance(o, dict):
+        return {key: _listed(value) for key, value in o.items()}
+    return o
+
+
+class _WriteLog(io.StringIO):
+    """A stdout that also keeps the length of every ``write``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, s: str) -> int:
+        self.sizes.append(len(s))
+        return super().write(s)
 
 
 def _printed(data: object) -> str:
@@ -412,10 +454,60 @@ def _printed(data: object) -> str:
 @example([[1, [0, 0, 0, 0, 1.5]]])
 @example([[1, [0, 0, 0, False, 0]]])
 def test_json_writer_matches_the_indenting_encoder(data):
-    assert _printed(data) == json.dumps(data, indent=2) + "\n"
+    assert _printed(_handed(data)) == json.dumps(_listed(data), indent=2) + "\n"
 
 
 def test_json_writer_refuses_what_it_cannot_write():
     for data in ({"a": Fraction(1, 2)}, [{1, 2}], {1: "a key that is not a str"}):
         with pytest.raises(TypeError):
             _printed(data)
+
+
+CF_ALL_12 = ["cf", "--scheme", "All", "--order", "12", "--marks", "xvwq", "--json"]
+
+
+def test_json_writer_streams_a_large_cf_document():
+    """The 1.4 MB ``cf`` document goes out in pieces: no ``write`` carries a
+    tenth of it, so the writer never holds the whole text."""
+    out = _WriteLog()
+    with contextlib.redirect_stdout(out):
+        assert main(CF_ALL_12) == 0
+    text = out.getvalue()
+    assert len(text) > 10**6
+    assert len(json.loads(text)["coefficients"]) == 13
+    assert max(out.sizes) < len(text) / 10
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    """A reader that stops after 100 bytes of JSON (``| head -c 100``), or
+    before the first byte of plain text, ends the command with status 1 and
+    nothing on stderr about the broken pipe."""
+    cmd = [sys.executable, "-m", "motzkinperm.cli"]
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PARENT}
+    proc = subprocess.Popen(
+        cmd + CF_ALL_12, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    errors = [proc.stderr.read().decode()]
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{\n  "scheme": "All"')
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        gone = subprocess.run(
+            cmd + ["stats", "--perm", "2 3 1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert gone.returncode == 1
+    errors.append(gone.stderr)
+    for err in errors:
+        assert "Traceback" not in err and "Exception ignored" not in err, err
