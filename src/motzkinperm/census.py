@@ -137,17 +137,6 @@ def _check_path_bijection(max_n: int, rng: random.Random) -> list[str]:
     return failures
 
 
-def _check_full_class_census(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
-    cap = min(max_n, 6)
-    for marks in ("xvwt", "xvwq"):
-        series = scheme_for(SubsetId.ALL, marks).series(cap)
-        for n, want in enumerate(distributions(cap, SubsetId.ALL, marks)):
-            if series[n] != want:
-                failures.append(f"marks {marks} disagree at n={n}")
-    return failures
-
-
 def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
     """Every class's census with all its markers against its continued
     fraction, and its counts against its closed form, each up to its own cap;
@@ -280,7 +269,6 @@ def _check_corrupted_scheme(max_n: int, rng: random.Random) -> list[str]:
 
 _CHECKS: tuple[tuple[str, Callable[[int, random.Random], list[str]]], ...] = (
     ("path-bijection", _check_path_bijection),
-    ("census-full-class", _check_full_class_census),
     ("census-subsets", _check_subset_censuses),
     ("consecutive-123", _check_consecutive_123),
     ("bell-pipeline", _check_bell_pipeline),

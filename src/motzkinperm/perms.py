@@ -334,51 +334,31 @@ def count_consecutive_123(values: Sequence[int]) -> int:
     )
 
 
-class Pattern:
-    """A classical pattern, found by its occurrences that end at a given entry.
+def two_runs(rise1: bool, rise2: bool):
+    """The placement rule of the permutations whose one-line form is two
+    monotone runs, the first rising if ``rise1`` and the second if ``rise2``
+    (either may be empty).
 
-    An occurrence is a subsequence of the one-line values order-isomorphic to
-    the pattern.  One ending at pi(i) = v picks its other letters left to right
-    from pi(1..i-1).  When letter j is picked, the letters already fixed are
-    0..j-1 and the last one; of those, the nearest below and above letter j
-    in the pattern bound the value it may take.
+    The second run holds every value still unused, so each of its entries is
+    ``unused[0]`` if it rises and ``unused[-1]`` if it falls, and a placement
+    passes when v is that value.  It also passes when ``values[1..i-1]``
+    followed by v is still one run in the first direction.  The rule reads
+    ``values`` and ``unused[-1]``, which only the view of
+    :func:`motzkinperm._kernels.prefix_walk` holds in full, so it serves that
+    walk only.
     """
+    end = 0 if rise2 else -1
 
-    def __init__(self, pattern: tuple[int, ...]) -> None:
-        k = len(pattern)
-        self.k = k
-        self.bounds = []
-        for j in range(k - 1):
-            fixed = [*range(j), k - 1]
-            below = [f for f in fixed if pattern[f] < pattern[j]]
-            above = [f for f in fixed if pattern[f] > pattern[j]]
-            self.bounds.append((
-                max(below, key=pattern.__getitem__) if below else None,
-                min(above, key=pattern.__getitem__) if above else None,
-            ))
-
-    def ends_at(self, values, i: int, v: int) -> bool:
-        """Does an occurrence end at pi(i) = v?  ``values[1..i-1]`` hold pi(1..i-1)."""
-        k, bounds = self.k, self.bounds
-        chosen = [0] * k
-        chosen[k - 1] = v
-        top = len(values)
-
-        def extend(j, start):
-            if j == k - 1:
-                return True
-            lo, hi = bounds[j]
-            lo = 0 if lo is None else chosen[lo]
-            hi = top if hi is None else chosen[hi]
-            for a in range(start, i + j + 2 - k):  # room for letters j+1..k-2
-                x = values[a]
-                if lo < x < hi:
-                    chosen[j] = x
-                    if extend(j + 1, a + 1):
-                        return True
+    def rule(prefix, i, v):
+        if v == prefix.unused[end]:
+            return True
+        values = prefix.values
+        if i > 1 and (values[i - 1] < v) != rise1:  # most values fail here, before the copy
             return False
+        run = values[1:i]
+        return run == sorted(run, reverse=not rise1)
 
-        return extend(0, 1)
+    return rule
 
 
 def random_permutation(n: int, rng) -> tuple[int, ...]:

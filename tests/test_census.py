@@ -130,7 +130,7 @@ def test_check_all_refuses_a_bad_size_before_running_any_check():
 
 def test_check_all_passes_and_covers_the_advertised_ground():
     results = check_all(max_n=5, seed=7)
-    assert len(results) == 10
+    assert len(results) == 9
     for result in results:
         assert result.passed, (result.name, result.detail)
     names = {r.name for r in results}

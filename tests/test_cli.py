@@ -235,20 +235,27 @@ def test_mobius_unknown_family(capsys):
     assert "error:" in err
 
 
+def test_mobius_refuses_a_size_above_the_formula_cap(capsys):
+    code, out, err = run(capsys, "mobius", "--family", "213,312", "--n", "20000")
+    assert code == 1
+    assert out == ""
+    assert f"the cap is {motzkinperm.mobius.FORMULA_CAP}" in err
+
+
 def test_check_reports_every_check(capsys):
     code, data = run_json(capsys, "check", "--n-max", "4", "--seed", "1")
     assert code == 0
     assert data["passed"] is True
-    assert len(data["checks"]) == 10
+    assert len(data["checks"]) == 9
     names = [c["name"] for c in data["checks"]]
-    assert len(set(names)) == 10
+    assert len(set(names)) == 9
 
 
 def test_check_plain_output(capsys):
     code, out, _ = run(capsys, "check", "--n-max", "3")
     assert code == 0
-    assert "10/10 checks passed" in out
-    assert out.count("PASS") == 10
+    assert "9/9 checks passed" in out
+    assert out.count("PASS") == 9
 
 
 def test_census_json_csv_mutually_exclusive():

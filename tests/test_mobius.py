@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import motzkinperm._kernels
 from motzkinperm.mobius import (
     BRUTE_CAP,
     FAMILIES,
+    FORMULA_CAP,
+    SHAPES,
     brute_count,
     mobius_count,
     mobius_value,
 )
+from motzkinperm.perms import two_runs
 
+from conftest import all_perms
 from reference import avoids_classical, cyclic_permutations
 
 
@@ -47,7 +53,7 @@ def test_family_names_are_normalized():
 
 def test_formulas_match_brute_force():
     for family in FAMILIES:
-        for n in range(2, 8):
+        for n in range(2, 15):
             assert mobius_count(family, n) == brute_count(family, n), (family, n)
 
 
@@ -56,7 +62,7 @@ def test_brute_count_is_capped_before_enumerating(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(motzkinperm._kernels, "prefix_walk", enumerate_nothing)
-    for n in (BRUTE_CAP + 1, 15):
+    for n in (BRUTE_CAP + 1, BRUTE_CAP + 3):
         with pytest.raises(ValueError, match="the cap is"):
             brute_count(FAMILIES[0], n)
     for n in (6.0, 2.5, "6", None):
@@ -68,6 +74,39 @@ def test_formula_refuses_a_size_that_is_not_an_int_of_at_least_two():
     for n in (6.0, 2.5, "6", None, 1, 0, -3):
         with pytest.raises(ValueError, match="an int n >= 2"):
             mobius_count(FAMILIES[0], n)
+
+
+def test_formula_refuses_a_size_above_its_cap_at_once():
+    for n in (FORMULA_CAP + 1, 10**18):
+        start = time.process_time()
+        with pytest.raises(ValueError, match=f"the cap is {FORMULA_CAP}"):
+            mobius_count(FAMILIES[0], n)
+        assert time.process_time() - start < 1
+    assert mobius_count(FAMILIES[0], FORMULA_CAP) > 0
+
+
+def _avoiders(family, n):
+    patterns = [tuple(int(c) for c in pat) for pat in family.split(",")]
+    return [
+        perm for perm in all_perms(n)
+        if all(avoids_classical(perm, pat) for pat in patterns)
+    ]
+
+
+def _walked(rule, n):
+    return [tuple(values[1:]) for values in motzkinperm._kernels.prefix_walk(n, rule)]
+
+
+def test_each_family_is_the_walk_of_its_two_run_shape():
+    for family, (rise1, rise2) in SHAPES.items():
+        for n in range(9):
+            assert _walked(two_runs(rise1, rise2), n) == _avoiders(family, n), (family, n)
+
+
+def test_a_shape_with_its_second_run_flipped_walks_other_permutations():
+    for family, (rise1, rise2) in SHAPES.items():
+        flipped = two_runs(rise1, not rise2)
+        assert any(_walked(flipped, n) != _avoiders(family, n) for n in range(9)), family
 
 
 def test_brute_count_matches_the_subsequence_scan_over_all_cycles():

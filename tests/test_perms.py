@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import pytest
@@ -11,7 +10,6 @@ from motzkinperm.bell import cycle_to_path, weak_exc_partition
 from motzkinperm.paths import perm_to_path
 from motzkinperm.perms import (
     DiagonalType,
-    Pattern,
     Permutation,
     StatVector,
     classify_entries,
@@ -33,7 +31,6 @@ from reference import (
     contains_classical,
     cyclic_permutations,
     left_to_right_minima,
-    rank_word,
 )
 
 
@@ -188,21 +185,6 @@ def test_pattern_containment_small_cases():
     assert not contains_classical((1, 2, 3), (2, 1))
     assert avoids_classical((2, 4, 1, 3), (3, 2, 1))
     assert not avoids_classical((3, 5, 1, 4, 2), (3, 2, 1))
-
-
-def test_pattern_search_matches_the_subsequence_scan():
-    patterns = [(1,), (2, 1), (1, 2, 3), (3, 1, 2), (2, 1, 4, 3), (3, 1, 4, 2), (2, 4, 1, 3)]
-    for pattern in patterns:
-        search = Pattern(pattern)
-        for n in range(7):
-            for perm in all_perms(n):
-                padded = (0, *perm)
-                for i in range(1, n + 1):
-                    want = any(
-                        rank_word((*combo, perm[i - 1])) == pattern
-                        for combo in itertools.combinations(perm[: i - 1], len(pattern) - 1)
-                    )
-                    assert search.ends_at(padded, i, perm[i - 1]) == want, (pattern, perm, i)
 
 
 def test_fast_321_avoidance_matches_the_classical_test():
