@@ -13,14 +13,12 @@ exits with status 1 and a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from types import GeneratorType
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__, bell, mobius
 from .census import (
@@ -36,6 +34,9 @@ from .perms import Permutation
 from .polys import MultiPoly, format_terms
 from .schemes import scheme_for, scheme_names
 from .subsets import SubsetId
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _Terms(list):
@@ -103,6 +104,7 @@ def _print_json(data: object) -> None:
 
 
 def _parse_terms(text: str) -> list[Fraction]:
+    from fractions import Fraction  # not at start-up: with decimal and numbers, 4 ms a process
     toks = text.replace(",", " ").split()
     if not toks:
         raise ValueError("no terms given")
@@ -172,6 +174,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
             }
         )
     elif args.csv:
+        import csv  # not at start-up: 1 ms a process
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", *order])
         for n in range(report.n_max + 1):

@@ -10,9 +10,11 @@ yields its weights and the next row:
 
 sigma[k][l] is d_1..d_k times the weight of the length-l paths from height 0
 to height k, so row k vanishes left of its diagonal.  This is the path sum of
-:mod:`motzkinperm.cfrac` run backwards, in O(n^2) exact operations.  Row k
-has n - k + 1 entries, so n+1 terms pin floor((n+1)/2) level weights and
-floor(n/2) fall weights.  The table stops three ways:
+:mod:`motzkinperm.cfrac` run backwards, in O(n^2) integer operations: each
+row is kept as ints times a factor that cancels from ell and d, and is divided
+by the gcd of its entries; only the returned weights become ``Fraction``s.
+Row k has n - k + 1 entries, so n+1 terms pin floor((n+1)/2) level weights
+and floor(n/2) fall weights.  The table stops three ways:
 
 * ``COMPLETE``    the prefix ran out; deeper weights need more terms
 * ``TERMINATED``  d_{k+1} is 0 and so is the rest of row k+1: the fraction
@@ -28,10 +30,13 @@ fractional weights rule one out at this depth.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from math import gcd, lcm
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cfrac import jfraction_series
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RecoveryStatus(enum.Enum):
@@ -49,14 +54,17 @@ class WeightRecovery(NamedTuple):
     n_input: int
 
     def level_weight(self, h: int) -> Fraction:
+        from fractions import Fraction  # see invert_jfraction
         return self.ell[h] if h < len(self.ell) else Fraction(0)
 
     def fall_weight(self, h: int) -> Fraction:
+        from fractions import Fraction  # see invert_jfraction
         return self.dee[h - 1] if 1 <= h <= len(self.dee) else Fraction(0)
 
 
 def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
     """Peel level and fall weights out of the counts c_0..c_n."""
+    from fractions import Fraction  # not at start-up: with decimal and numbers, 4 ms a process
     if not terms:
         raise ValueError("need at least the constant term")
     cur = [Fraction(t) for t in terms]
@@ -67,23 +75,28 @@ def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
     ell: list[Fraction] = []
     dee: list[Fraction] = []
     status = RecoveryStatus.COMPLETE
-    # rows k-1 and k of the moment table; row -1 is zero and d_0 is unused
-    above, row = [Fraction(0)] * n, cur
-    fall = lead = Fraction(0)
+    # rows k-1 and k of the moment table as ints, each times a factor that the
+    # ratios below cancel; row -1 is zero, and q = 1 stands in for its diagonal
+    scale = lcm(*(t.denominator for t in cur))
+    above, row, q = [0] * n, [t.numerator * (scale // t.denominator) for t in cur], 1
     for k in range((n + 1) // 2):
-        ratio = row[k + 1] / row[k]
-        ell.append(ratio - lead)
+        p = row[k]
+        lift = row[k + 1] * q - above[k] * p  # ell_k = row[k+1] / p - above[k] / q
+        ell.append(Fraction(lift, p * q))
         if 2 * k + 2 > n:
             break
-        below = [row[l + 1] - ell[-1] * row[l] - fall * above[l] for l in range(n - k)]
+        # sigma[k+1] is below / (p q) times row k's factor: d_{k+1} = below[k+1] / (p^2 q)
+        pq, pp = p * q, p * p
+        below = [pq * row[l + 1] - lift * row[l] - pp * above[l] for l in range(n - k)]
         if any(below[: k + 1]):
             raise AssertionError("peeling lost its leading cancellation")
-        fall = below[k + 1] / row[k]
+        fall = Fraction(below[k + 1], pp * q)
         if fall == 0:
             status = RecoveryStatus.FAILED if any(below[k + 2 :]) else RecoveryStatus.TERMINATED
             break
         dee.append(fall)
-        above, row, lead = row, below, ratio
+        g = gcd(*below)
+        above, row, q = row, [b // g for b in below], p
     return WeightRecovery(tuple(ell), tuple(dee), status, len(terms))
 
 
@@ -110,6 +123,7 @@ def regenerate(recovery: WeightRecovery, order: int | None = None) -> list[Fract
     every order.  Unknown deeper weights count as 0, which cannot disturb the
     trusted range.
     """
+    from fractions import Fraction  # see invert_jfraction
     if recovery.status is RecoveryStatus.FAILED:
         raise ValueError("a failed recovery has no generating weights to run")
     if order is None:
@@ -119,4 +133,13 @@ def regenerate(recovery: WeightRecovery, order: int | None = None) -> list[Fract
             f"only coefficients 0..{recovery.n_input - 1} are determined; "
             f"requested order {order}"
         )
-    return list(jfraction_series(recovery.fall_weight, recovery.level_weight, order))
+    # level weights times scale and fall weights times scale^2 scale a length-n path by scale^n
+    scale = lcm(*(w.denominator for w in recovery.ell + recovery.dee))
+    levels = [w.numerator * (scale // w.denominator) for w in recovery.ell]
+    falls = [0] + [w.numerator * (scale * scale // w.denominator) for w in recovery.dee]
+    series = jfraction_series(
+        lambda h: falls[h] if h < len(falls) else 0,
+        lambda h: levels[h] if h < len(levels) else 0,
+        order,
+    )
+    return [Fraction(c, scale**n) for n, c in enumerate(series)]

@@ -41,16 +41,16 @@ FAMILIES = tuple(SHAPES)
 # Python 3.11.7 on a 2-core x86-64 virtual machine); at 19, 1.4-8.3 s.
 BRUTE_CAP = 18
 
-# The largest n that :func:`mobius_count` evaluates, refused before its
-# O(sqrt(n)) divisor loops: the count there has about 3000 digits, under the
-# 4300 that Python prints by default, and takes under a millisecond.
+# The largest n that :func:`mobius_count` and :func:`mobius_value` take, refused
+# before their O(sqrt(n)) loops: the count there has about 3000 digits, under
+# the 4300 that Python prints by default, and takes under a millisecond.
 FORMULA_CAP = 10_000
 
 
 def mobius_value(n: int) -> int:
-    """The number-theoretic Mobius function."""
-    if n < 1:
-        raise ValueError("mobius_value needs n >= 1")
+    """The number-theoretic Mobius function, for an int n from 1 to FORMULA_CAP."""
+    if type(n) is not int or not 1 <= n <= FORMULA_CAP:
+        raise ValueError(f"mobius_value needs an int 1 <= n <= {FORMULA_CAP}, got {n!r}")
     result = 1
     m = n
     p = 2

@@ -293,7 +293,9 @@ def test_start_up_imports_every_module_but_no_dataclasses_or_inspect():
     ``import motzkinperm`` loads every module but ``cli``, which the
     benchmark's tracer relies on to find all the code before it wraps it.
     Importing the CLI and building its parser loads neither ``dataclasses``
-    nor ``inspect``, which cost every process about 0.02 s of CPU.
+    nor ``inspect``, which cost every process about 0.02 s of CPU, nor
+    ``fractions`` (with ``decimal``, about 4 ms) and ``csv`` (about 1 ms),
+    which only ``invert`` and ``census --csv`` use.
     """
     child = (
         "import json, sys\n"
@@ -301,7 +303,8 @@ def test_start_up_imports_every_module_but_no_dataclasses_or_inspect():
         "loaded = sorted(m for m in sys.modules if m.startswith('motzkinperm.'))\n"
         "import motzkinperm.cli\n"
         "motzkinperm.cli.build_parser()\n"
-        "heavy = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'fractions', 'decimal', 'csv')\n"
+        "         if m in sys.modules]\n"
         "print(json.dumps([loaded, heavy]))\n"
     )
     proc = subprocess.run(
@@ -319,6 +322,25 @@ def test_start_up_imports_every_module_but_no_dataclasses_or_inspect():
     )
     assert loaded == modules
     assert heavy == []
+
+
+def test_commands_that_import_on_demand_run_in_a_fresh_process(tmp_path):
+    """``invert`` and ``census --csv`` import ``fractions`` and ``csv`` when
+    they run, not at start-up: run both as new processes, the way a user
+    does, where nothing has loaded those modules yet."""
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PARENT}
+    cmd = [sys.executable, "-m", "motzkinperm.cli"]
+    invert, census = (
+        subprocess.run(cmd + argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+        for argv in (
+            ["invert", "--terms", "1,1/2,3/4", "--regenerate"],
+            ["census", "--subset", "All", "--n-max", "3", "--csv"],
+        )
+    )
+    assert invert.returncode == 0, invert.stderr
+    assert "regenerated:   1, 1/2, 3/4" in invert.stdout
+    assert census.returncode == 0, census.stderr
+    assert census.stdout.splitlines()[-1].split(",")[:2] == ["3", "6"]
 
 
 def test_console_script_installed(tmp_path):

@@ -5,12 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkinperm.cfrac import jfraction_series
 from motzkinperm.invert import (
     RecoveryStatus,
+    WeightRecovery,
     classify_weights,
     invert_jfraction,
     regenerate,
@@ -232,3 +233,36 @@ def test_weights_round_trip_through_the_series(length, ell, dee):
     assert rec.ell == tuple(ell[: length // 2])
     assert rec.dee == tuple(dee[: (length - 1) // 2])
     assert regenerate(rec) == terms
+
+
+def test_eighty_term_prefixes_recover_their_weights_and_regenerate_exactly():
+    """The benchmark's longest inputs: 80 terms pin 40 level and 39 fall weights."""
+    known = {
+        "Bell": (bell_numbers(79), list(range(1, 41)), list(range(1, 40))),
+        "Motzkin": (motzkin_numbers(79), [1] * 40, [1] * 39),
+        "Catalan": (catalan_numbers(79), [1] + [2] * 39, [1] * 39),
+    }
+    for name, (terms, ell, dee) in known.items():
+        rec = invert_jfraction(terms)
+        assert rec.status is RecoveryStatus.COMPLETE, name
+        assert (rec.ell, rec.dee) == (tuple(ell), tuple(dee)), name
+        assert regenerate(rec) == terms, name
+
+
+weights = st.fractions(-5, 5, max_denominator=7)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(weights, max_size=8),
+    st.lists(weights.filter(bool), max_size=8),
+    st.sampled_from([RecoveryStatus.COMPLETE, RecoveryStatus.TERMINATED]),
+    st.integers(0, 20),
+)
+@example([Fraction(-3, 2), Fraction(1, 6)], [Fraction(2, 5)], RecoveryStatus.COMPLETE, 9)
+def test_regeneration_equals_the_fraction_path_sum(ell, dee, status, order):
+    """Integer weights over a common denominator give the ``Fraction`` path sum."""
+    rec = WeightRecovery(tuple(ell), tuple(dee), status, order + 1)
+    got = regenerate(rec, order)
+    assert got == list(jfraction_series(rec.fall_weight, rec.level_weight, order))
+    assert all(type(c) is Fraction for c in got)
