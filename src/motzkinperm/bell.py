@@ -29,6 +29,12 @@ from .perms import (
 from .subsets import SubsetId, is_member
 
 
+# The largest n that :func:`set_partitions` enumerates: its 678,570 partitions
+# take 1.3-1.6 s at 11 and the 4,213,597 at 12 take 10.5 s (CPU time, pure
+# Python 3.11.7 on a 2-core x86-64 virtual machine).
+PARTITION_CAP = 11
+
+
 class SetPartition(_Record):
     """Blocks covering 1..n, each sorted, ordered by smallest element."""
 
@@ -78,9 +84,12 @@ def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All set partitions of {1..n} as sorted tuples of sorted blocks.
 
     Generated by restricted growth: entry i joins an existing block or opens
-    the next fresh one.
+    the next fresh one.  An n over :data:`PARTITION_CAP` is refused before the
+    first partition.
     """
     check_size(n)
+    if n > PARTITION_CAP:
+        raise ValueError(f"set partitions over size {n} are refused; the cap is {PARTITION_CAP}")
     if n == 0:
         yield ()
         return

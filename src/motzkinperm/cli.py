@@ -8,15 +8,23 @@ sequence prefix, ``bell`` prints the cycle-to-partition triptych, ``mobius``
 evaluates the cyclic pattern-avoidance formulas, and ``check`` runs the
 package self-checks.  Every subcommand takes ``--json``; malformed input
 exits with status 1 and a diagnostic on stderr.
+
+Run as a process (``python -m motzkinperm.cli`` or the ``motzkinperm``
+script), :func:`main` calls ``gc.freeze()`` before it parses: everything
+start-up built lives until exit, and the interpreter's collection at
+shutdown would otherwise walk all of it, 10-15 ms of CPU a process.  A
+caller that passes ``argv`` keeps its collector as it was.  The JSON writer
+needs only the C string escaper from ``_json``, so the ``json`` package
+(about 3 ms to import) is not loaded.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
+from _json import encode_basestring_ascii as _json_str  # the C escaper json.encoder re-exports
 from types import GeneratorType
 from typing import TYPE_CHECKING, Sequence
 
@@ -48,19 +56,28 @@ def _poly_json(p: MultiPoly) -> dict:
     return {"text": format_terms(terms), "terms": _Terms(terms)}
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
+
+
 def _write_json(o: object, ind: str, out: list[str]) -> None:
     """Append the text of ``json.dumps(o, indent=2)``, nested at indent ``ind``.
 
-    Dict keys must be str.  A plain int is written with ``int.__repr__``, as
-    json does.  A generator is drawn one item at a time, and ``_Terms`` give
+    Dict keys must be str.  Ints and floats are written with ``int.__repr__``
+    and ``float.__repr__``, as json does, but for its ``NaN``, ``Infinity`` and
+    ``-Infinity``.  A generator is drawn one item at a time, and ``_Terms`` give
     rows.  Between array items, 256 pieces in ``out`` go to stdout in one write.
     """
     if type(o) is int:
         out.append(int.__repr__(o))
     elif isinstance(o, str):
         out.append(_json_str(o))
-    elif o is None or isinstance(o, (int, float)):
-        out.append(json.dumps(o))
+    elif o is None or type(o) is bool:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out.append(_FLOAT_WORDS.get(text, text))
     elif isinstance(o, (list, tuple, GeneratorType)):
         inner = ind + "  "
         sep = start = f"[\n{inner}"
@@ -372,6 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        gc.freeze()  # nothing built at start-up dies before exit: keep the shutdown collection off it
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

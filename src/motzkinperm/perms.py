@@ -286,13 +286,16 @@ class StatVector(NamedTuple):
 
 
 def _require_permutation(perm: Permutation | Sequence[int]) -> tuple[int, ...]:
-    """One-line values of ``perm``; ValueError unless they rearrange 1..n.
+    """One-line values of ``perm``; ValueError unless they are ints that rearrange 1..n.
 
     A :class:`Permutation` was checked when it was built and passes as it is.
+    A bool or a float equal to an int is not an entry.
     """
     if isinstance(perm, Permutation):
         return perm.values
     values = tuple(perm)
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"permutation entries must be ints: {values!r}")
     n = len(values)
     if sorted(values) != list(range(1, n + 1)):
         raise ValueError(f"not a rearrangement of 1..{n}: {values!r}")
@@ -363,6 +366,7 @@ def two_runs(rise1: bool, rise2: bool):
 
 def random_permutation(n: int, rng) -> tuple[int, ...]:
     """Uniform permutation from a seeded generator (Fisher-Yates)."""
+    _kernels.check_size(n)
     vals = list(range(1, n + 1))
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)

@@ -51,6 +51,12 @@ def _pack(exps: Iterable[int]) -> tuple[int, int]:
     return (((x << W | v) << W | w) << W | t) << W | q, max(key)
 
 
+def _check_int(c: object, what: str) -> None:
+    """Refuse a non-int where arithmetic must stay exact; a bool counts as 0 or 1."""
+    if not isinstance(c, int):
+        raise ValueError(f"{what} must be an int, got {c!r}")
+
+
 def _unpack(k: int) -> tuple[int, int, int, int, int]:
     return (k >> 4 * W, k >> 3 * W & _MASK, k >> 2 * W & _MASK, k >> W & _MASK, k & _MASK)
 
@@ -88,6 +94,7 @@ class MultiPoly:
         top = 0
         for exps, c in (coeffs or {}).items():
             key, high = _pack(exps)
+            _check_int(c, "coefficient")
             if c:
                 clean[key] = clean.get(key, 0) + c
                 top = max(top, high)
@@ -121,6 +128,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
+        _check_int(c, "coefficient")
         return cls._make({0: 0 + c}, 0)  # 0 + c stores True as 1
 
     @classmethod
@@ -138,7 +146,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return other
         if isinstance(other, int):
-            return MultiPoly.const(other)
+            return MultiPoly._make({0: 0 + other}, 0)
         return None
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
@@ -195,7 +203,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be a nonnegative int")
         result = MultiPoly.one()
         base = self
@@ -208,11 +216,10 @@ class MultiPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == o.coeffs
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
@@ -235,9 +242,10 @@ class MultiPoly:
         >>> p.substitute(x=0, t=5) == 2
         True
         """
-        for name in values:
+        for name, val in values.items():
             if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
+            _check_int(val, f"value of {name}")
         slots = [(_SHIFTS[VARS.index(name)], val) for name, val in values.items()]
         out: dict[int, int] = {}
         for k, c in self.coeffs.items():

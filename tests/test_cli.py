@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -295,16 +296,18 @@ def test_start_up_imports_every_module_but_no_dataclasses_or_inspect():
     Importing the CLI and building its parser loads neither ``dataclasses``
     nor ``inspect``, which cost every process about 0.02 s of CPU, nor
     ``fractions`` (with ``decimal``, about 4 ms) and ``csv`` (about 1 ms),
-    which only ``invert`` and ``census --csv`` use.
+    which only ``invert`` and ``census --csv`` use, nor ``json`` (about 3 ms),
+    whose C string escaper the JSON writer takes from ``_json``.
     """
     child = (
-        "import json, sys\n"
+        "import sys\n"
         "import motzkinperm\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('motzkinperm.'))\n"
         "import motzkinperm.cli\n"
         "motzkinperm.cli.build_parser()\n"
-        "heavy = [m for m in ('dataclasses', 'inspect', 'fractions', 'decimal', 'csv')\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'fractions', 'decimal', 'csv', 'json')\n"
         "         if m in sys.modules]\n"
+        "import json\n"
         "print(json.dumps([loaded, heavy]))\n"
     )
     proc = subprocess.run(
@@ -322,6 +325,39 @@ def test_start_up_imports_every_module_but_no_dataclasses_or_inspect():
     )
     assert loaded == modules
     assert heavy == []
+
+
+def test_a_process_that_runs_main_on_its_own_command_line_freezes_its_heap(tmp_path):
+    """``main()`` with no ``argv`` is the process's entry point, so it moves
+    what start-up built out of the collector's reach before the command runs."""
+    child = (
+        "import gc, sys\n"
+        "from motzkinperm.cli import main\n"
+        "sys.argv = ['motzkinperm', 'stats', '--perm', '2 3 1']\n"
+        "before = gc.get_freeze_count()\n"
+        "code = main()\n"
+        "print(code, before, gc.get_freeze_count())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PARENT},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, before, after = map(int, proc.stdout.splitlines()[-1].split())
+    assert (code, before) == (0, 0)
+    assert after > 0
+
+
+def test_main_called_with_argv_leaves_the_collector_alone(capsys):
+    """In-process callers (the tests, the benchmark's tracer) pass ``argv``
+    and keep their collector as it was."""
+    before = gc.get_freeze_count()
+    code, out, _ = run(capsys, "stats", "--perm", "2 3 1")
+    assert code == 0 and "excedances:" in out
+    assert gc.get_freeze_count() == before
 
 
 def test_commands_that_import_on_demand_run_in_a_fresh_process(tmp_path):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from motzkinperm.bell import cycle_to_path, weak_exc_partition
+from motzkinperm.bell import cycle_to_partition, cycle_to_path, weak_exc_partition
 from motzkinperm.paths import perm_to_path
 from motzkinperm.perms import (
     DiagonalType,
@@ -152,6 +152,27 @@ def test_stats_rejects_a_non_permutation(values):
 )
 def test_entry_points_reject_a_non_permutation(entry_point, values):
     with pytest.raises(ValueError, match="not a rearrangement"):
+        entry_point(values)
+
+
+@pytest.mark.parametrize("values", [(1.0,), (True,), (2, 1.0), (True, 2), (1.0, 2.0)], ids=repr)
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        Permutation,
+        stats,
+        foata,
+        lambda values: is_member(values, SubsetId.ALL),
+        perm_to_path,
+        cycle_to_path,
+        cycle_to_partition,
+        weak_exc_partition,
+    ],
+    ids=["Permutation", "stats", "foata", "is_member", "perm_to_path", "cycle_to_path",
+         "cycle_to_partition", "weak_exc_partition"],
+)
+def test_entry_points_refuse_an_entry_that_is_not_an_int(entry_point, values):
+    with pytest.raises(ValueError, match="must be ints"):
         entry_point(values)
 
 

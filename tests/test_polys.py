@@ -134,6 +134,26 @@ def test_constructor_checks_every_exponent_tuple(exps, coeff):
         MultiPoly.var("x").coefficient(exps)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MultiPoly.const(1.5),
+        lambda: MultiPoly({(0, 0, 0, 0, 0): 1.5}),
+        lambda: MultiPoly({(1, 0, 0, 0, 0): 2.0}),
+        lambda: MultiPoly.monomial((1, 0, 0, 0, 0), 0.5),
+        lambda: MultiPoly.var("x").substitute(x=0.5),
+        lambda: (MultiPoly.var("x") + 1).substitute(v=1, x=2.0),
+        lambda: MultiPoly.var("x") ** True,
+        lambda: MultiPoly.var("x") ** 2.0,
+    ],
+    ids=["const", "constructor", "constructor-float-equal-to-int", "monomial",
+         "substitute", "substitute-float-equal-to-int", "bool-exponent", "float-exponent"],
+)
+def test_public_entry_points_refuse_a_coefficient_value_or_exponent_that_is_not_an_int(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
+
+
 def test_bool_constants_are_stored_as_ints():
     assert type(MultiPoly.const(True).coeffs[0]) is int
     assert str(MultiPoly.const(True)) == "1"

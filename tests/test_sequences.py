@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
-from motzkinperm.bell import set_partitions
+from motzkinperm.bell import (
+    PARTITION_CAP,
+    enumerate_block_paths,
+    enumerate_cycle_paths,
+    set_partitions,
+)
 from motzkinperm.cfrac import jfraction_series, kfraction_series
-from motzkinperm.paths import enumerate_paths
+from motzkinperm.paths import PATH_CAP, enumerate_paths
+from motzkinperm.perms import random_permutation
 from motzkinperm.schemes import scheme_for
 from motzkinperm.sequences import (
     baxter_numbers,
@@ -155,6 +162,9 @@ def test_closed_form_refuses_a_negative_size(subset):
 @pytest.mark.parametrize(
     "sequence",
     [
+        pytest.param(lambda n: list(set_partitions(n)), id="set_partitions"),
+        pytest.param(lambda n: list(enumerate_paths(n)), id="enumerate_paths"),
+        pytest.param(lambda n: random_permutation(n, random.Random(0)), id="random_permutation"),
         baxter_numbers,
         bell_numbers,
         catalan_numbers,
@@ -185,13 +195,31 @@ def test_every_sequence_refuses_a_negative_size(sequence):
         lambda n: jfraction_series(lambda h: 1, lambda h: 1, n),
         lambda n: kfraction_series(lambda h: 1, lambda h: 1, n),
         lambda n: scheme_for(SubsetId.ALL, "x").series(n),
+        lambda n: random_permutation(n, random.Random(0)),
     ],
     ids=["factorials", "closed_form_counts", "set_partitions", "enumerate_paths",
-         "jfraction_series", "kfraction_series", "series"],
+         "jfraction_series", "kfraction_series", "series", "random_permutation"],
 )
 def test_every_size_taker_refuses_a_size_that_is_not_an_int(call, size):
     with pytest.raises(ValueError, match="must be an int"):
         call(size)
+
+
+@pytest.mark.parametrize(
+    "enumerate_, cap",
+    [
+        (set_partitions, PARTITION_CAP),
+        (enumerate_paths, PATH_CAP),
+        (enumerate_cycle_paths, PATH_CAP),
+        (enumerate_block_paths, PATH_CAP),
+    ],
+    ids=["set_partitions", "enumerate_paths", "enumerate_cycle_paths", "enumerate_block_paths"],
+)
+def test_every_enumerator_refuses_a_size_over_its_cap_before_the_first_item(enumerate_, cap):
+    for n in (cap + 1, 10**6):
+        with pytest.raises(ValueError, match=f"the cap is {cap}"):
+            next(enumerate_(n))
+    assert next(enumerate_(cap))
 
 
 def test_zero_length_prefixes():
