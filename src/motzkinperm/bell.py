@@ -1,16 +1,17 @@
 """From single-cycle permutations through path surgery to set partitions.
 
 Three bijections compose here.  A permutation of [n] forming one cycle with
-increasing excedance values encodes as an *elevated* colored path of length
-n whose interior stays above the axis: a lower bounce at height h picks one
-of h open horizontal rays (colors 0..h-1), an upper bounce always acts on
-the oldest vertical ray (color h), and an interior down step picks any open
-horizontal ray except the one that would close the cycle early (colors
-0..h-2), the cycle finally closing on the last step.  A one-step surgery
-turns those elevated paths into *grounded* paths one step shorter, with
-down-step colors 0..h-1 and level colors 0..h.  Reading a grounded path left
-to right as instructions — open a block, close a singleton, join a block,
-join and finish a block — yields a set partition of [n-1].
+increasing excedance values encodes as a path of length n in the *elevated*
+family :data:`CYCLE_PATHS`, whose interior stays above the axis: a lower
+bounce at height h picks one of h open horizontal rays (colors 0..h-1), an
+upper bounce always acts on the oldest vertical ray (color h), and an
+interior down step picks any open horizontal ray except the one that would
+close the cycle early (colors 0..h-2), the cycle finally closing on the last
+step.  A one-step surgery turns those elevated paths into paths one step
+shorter in the *grounded* family :data:`BLOCK_PATHS`, with down-step colors
+0..h-1 and level colors 0..h.  Reading a grounded path left to right as
+instructions — open a block, close a singleton, join a block, join and
+finish a block — yields a set partition of [n-1].
 
 The three path families are Bell-counted, and every arrow is invertible, so
 single-cycle permutations with increasing excedance values biject with set
@@ -22,10 +23,8 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from ._kernels import check_size
-from .paths import ColoredMotzkinPath, check_family, enumerate_paths
-from .perms import (
-    DiagonalType, Permutation, _DiagramState, _Record, _require_permutation, diagram_walk,
-)
+from .paths import ColoredMotzkinPath, PathFamily, check_family, decode, encode, enumerate_paths
+from .perms import DiagonalType, Permutation, _Record, _require_permutation
 from .subsets import SubsetId, is_member
 
 
@@ -44,8 +43,8 @@ class SetPartition(_Record):
     def _check(self) -> None:
         seen: set[int] = set()
         for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
+            if type(block) is not tuple or not block or not set(map(type, block)) <= {int}:
+                raise ValueError(f"block {block!r} is not a nonempty tuple of ints")
             if list(block) != sorted(block):
                 raise ValueError(f"block {block} is not sorted")
             if seen & set(block):
@@ -126,24 +125,45 @@ def _level_colors(h: int) -> int:
     return h + 1
 
 
-def validate_cycle_path(path: ColoredMotzkinPath) -> None:
-    """Check the elevated-family constraints; raise ValueError otherwise."""
-    check_family(path, _elevated_down_colors, _level_colors, elevated=True)
+def _cycle_color(typ: DiagonalType, h: int, choice, last: bool) -> int:
+    if typ is DiagonalType.UPPER_BOUNCE:
+        if choice.j != 1:
+            raise AssertionError("upper bounce off the oldest ray expected")
+        return h
+    if typ is DiagonalType.LOWER_BOUNCE:
+        return choice.k - 1
+    if choice.k == choice.cycle_k:
+        if not last:
+            raise AssertionError("cycle closed before the final step")
+        return 0
+    if choice.j != 1:
+        raise AssertionError("interior close off the oldest ray expected")
+    return choice.k - 1 - (choice.k > choice.cycle_k)
 
 
-def validate_block_path(path: ColoredMotzkinPath) -> None:
-    """Check the grounded-family constraints; raise ValueError otherwise."""
-    check_family(path, _grounded_down_colors, _level_colors)
+def _cycle_rays(letter: str, h: int, color: int, state, last: bool) -> tuple[int, int]:
+    if letter == "L":
+        if color < h:
+            return 0, color + 1
+        return (1, 0) if h else (0, 0)
+    if last:
+        return 1, 1
+    k = color + 1  # skip the one horizontal ray that would close the cycle early
+    return 1, (k if k < state.cycle_k(1) else k + 1)
+
+
+CYCLE_PATHS = PathFamily(_elevated_down_colors, _level_colors, True, _cycle_color, _cycle_rays)
+BLOCK_PATHS = PathFamily(_grounded_down_colors, _level_colors)
 
 
 def enumerate_cycle_paths(n: int) -> Iterator[ColoredMotzkinPath]:
     """The elevated family of length n (Bell-counted one size down)."""
-    return enumerate_paths(n, _elevated_down_colors, _level_colors, elevated=True)
+    return enumerate_paths(n, CYCLE_PATHS)
 
 
 def enumerate_block_paths(n: int) -> Iterator[ColoredMotzkinPath]:
     """The grounded family of length n (Bell-counted)."""
-    return enumerate_paths(n, _grounded_down_colors, _level_colors)
+    return enumerate_paths(n, BLOCK_PATHS)
 
 
 # -- single-cycle permutations <-> elevated paths ----------------------------
@@ -157,64 +177,13 @@ def cycle_to_path(perm: Permutation | Sequence[int]) -> ColoredMotzkinPath:
             "input must be a single cycle whose excedance values increase "
             "left to right"
         )
-    pairs: list[tuple[str, int]] = []
-    for i, (typ, h, choice) in enumerate(diagram_walk(values), start=1):
-        if typ is DiagonalType.OPEN:
-            pairs.append(("U", 0))
-        elif typ is DiagonalType.FIXED:
-            pairs.append(("L", 0))
-        elif typ is DiagonalType.UPPER_BOUNCE:
-            if choice.j != 1:
-                raise AssertionError("upper bounce off the oldest ray expected")
-            pairs.append(("L", h))
-        elif typ is DiagonalType.LOWER_BOUNCE:
-            pairs.append(("L", choice.k - 1))
-        else:
-            if choice.k == choice.cycle_k:
-                if i != len(values):
-                    raise AssertionError("cycle closed before the final step")
-                pairs.append(("D", 0))
-            else:
-                if choice.j != 1:
-                    raise AssertionError("interior close off the oldest ray expected")
-                r = choice.k - 1 - (1 if choice.k > choice.cycle_k else 0)
-                pairs.append(("D", r))
-    return ColoredMotzkinPath.from_pairs(pairs)
+    return encode(values, CYCLE_PATHS)
 
 
 def path_to_cycle(path: ColoredMotzkinPath) -> Permutation:
     """Decode an elevated-family path back to its single-cycle permutation."""
-    validate_cycle_path(path)
-    n = len(path.steps)
-    vals = [0] * n
-    state = _DiagramState()
-    for i, st in enumerate(path.steps, start=1):
-        h = st.height
-        if st.letter == "U":
-            state.open_rays(i)
-        elif st.letter == "L":
-            if h == 0:
-                vals[i - 1] = i
-            elif st.color == h:
-                col = state.upper_bounce(1, i)
-                vals[col - 1] = i
-            else:
-                row = state.lower_bounce(st.color + 1, i)
-                vals[i - 1] = row
-        else:
-            if i == n:
-                col, row, completed = state.close(1, 1)
-                if not completed:
-                    raise AssertionError("final close failed to complete the cycle")
-            else:
-                blocked = state.cycle_k(1)
-                k = st.color + 1 if st.color + 1 < blocked else st.color + 2
-                col, row, completed = state.close(1, k)
-                if completed:
-                    raise AssertionError("interior close completed the cycle")
-            vals[col - 1] = i
-            vals[i - 1] = row
-    return Permutation(tuple(vals))
+    check_family(path, CYCLE_PATHS)
+    return decode(path, CYCLE_PATHS)
 
 
 # -- the one-step surgery between the families -------------------------------
@@ -228,7 +197,7 @@ def shorten_path(path: ColoredMotzkinPath) -> ColoredMotzkinPath:
     h-1 and the final step is dropped; otherwise the leading up step becomes
     a level step of color 0 and the final step is dropped.
     """
-    validate_cycle_path(path)
+    check_family(path, CYCLE_PATHS)
     steps = path.steps
     if len(steps) == 1:
         return ColoredMotzkinPath(())
@@ -257,7 +226,7 @@ def lengthen_path(path: ColoredMotzkinPath) -> ColoredMotzkinPath:
     is always one: the last descent from height 1 qualifies) turns back into
     a marked level step.
     """
-    validate_block_path(path)
+    check_family(path, BLOCK_PATHS)
     steps = path.steps
     if not steps:
         return ColoredMotzkinPath.from_pairs([("L", 0)])
@@ -289,7 +258,7 @@ def block_path_to_partition(path: ColoredMotzkinPath) -> SetPartition:
     step of lower color c joins block c and leaves it open; a down step of
     color c joins block c and closes it.
     """
-    validate_block_path(path)
+    check_family(path, BLOCK_PATHS)
     open_blocks: list[list[int]] = []
     done: list[list[int]] = []
     for i, st in enumerate(path.steps, start=1):

@@ -1,8 +1,12 @@
-"""Colored Motzkin paths and the permutation bijection.
+"""Colored Motzkin paths, their families, and the permutation bijection.
 
 A path is a word in U (up), L (level), D (down) returning to height 0 and
-never dipping below it.  Steps carry colors: U is always color 0, a D falling
-from height h has h*h colors, an L at height h has 2h+1 colors.  The color
+never dipping below it.  Each step carries a color within the budget of its
+family, one :class:`PathFamily` record; :func:`encode` and :func:`decode`
+are the bijection of every family with its permutation class
+(:mod:`motzkinperm.bell` holds the two Bell families).  In :data:`STANDARD`,
+the family of all permutations, U is always color 0, a D falling from
+height h has h*h colors, an L at height h has 2h+1 colors.  The color
 encodes which open diagram rays the corresponding diagonal entry closed:
 
 * L color 0                  fixed point
@@ -38,11 +42,48 @@ from .perms import (
 PATH_CAP = 9
 
 
+class PathFamily(NamedTuple):
+    """A path family: its color budgets and its bijection with a permutation class.
+
+    ``down_colors(h)``/``level_colors(h)`` count the colors of a D step from
+    height h and of an L step at h; an ``elevated`` path is nonempty and its
+    interior stays above 0.  ``color(typ, h, choice, last)`` colors a closing
+    entry of :func:`motzkinperm.perms.diagram_walk`; ``rays(letter, h, color,
+    state, last)`` inverts it: the (j, k) of the rays an L or D step closes in
+    the diagram ``state``, 0 for none.  Both are None for a family with no class.
+    """
+
+    down_colors: Callable[[int], int]
+    level_colors: Callable[[int], int]
+    elevated: bool = False
+    color: Callable[..., int] | None = None
+    rays: Callable[..., tuple[int, int]] | None = None
+
+
 def standard_down_colors(h: int) -> int:
     return h * h
 
 def standard_level_colors(h: int) -> int:
     return 2 * h + 1
+
+
+def _standard_color(typ: DiagonalType, h: int, choice, last: bool) -> int:
+    if typ is DiagonalType.UPPER_BOUNCE:
+        return choice.j
+    if typ is DiagonalType.LOWER_BOUNCE:
+        return h + choice.k
+    return (choice.j - 1) * h + (choice.k - 1)
+
+
+def _standard_rays(letter: str, h: int, color: int, state, last: bool) -> tuple[int, int]:
+    if letter == "D":
+        return color // h + 1, color % h + 1
+    return (color, 0) if color <= h else (0, color - h)
+
+
+STANDARD = PathFamily(
+    standard_down_colors, standard_level_colors, False, _standard_color, _standard_rays
+)
 
 
 class ColoredStep(NamedTuple):
@@ -75,13 +116,9 @@ class ColoredMotzkinPath(_Record):
         for letter, color in pairs:
             if letter == "U":
                 h += 1
-                top = h
-            elif letter == "D":
-                top = h
+            steps.append(ColoredStep(letter, h, color))
+            if letter == "D":
                 h -= 1
-            else:
-                top = h
-            steps.append(ColoredStep(letter, top, color))
         return cls(tuple(steps))
 
     @classmethod
@@ -125,110 +162,101 @@ class ColoredMotzkinPath(_Record):
         return doubled // 2
 
 
-def check_family(
-    path: ColoredMotzkinPath,
-    down_colors: Callable[[int], int] = standard_down_colors,
-    level_colors: Callable[[int], int] = standard_level_colors,
-    elevated: bool = False,
-) -> None:
-    """Raise ValueError unless :func:`enumerate_paths` with these arguments yields ``path``.
+def check_family(path: ColoredMotzkinPath, family: PathFamily = STANDARD) -> None:
+    """Raise ValueError unless :func:`enumerate_paths` of ``family`` yields ``path``.
 
-    Checks the letters, the claimed heights, the color of every step against
-    its budget, and that the path never dips below the axis and ends on it;
-    an elevated path is nonempty and its interior stays strictly above 0.
+    Checks each step's type (a :class:`ColoredStep` of int height and color),
+    letter, claimed height and color budget, and that the path never dips
+    below the axis and ends on it; an elevated path is nonempty and its
+    interior stays strictly above 0.
     """
+    down_colors, level_colors, elevated = family.down_colors, family.level_colors, family.elevated
     n = len(path.steps)
     if elevated and n == 0:
         raise ValueError("the elevated family has no empty path")
     h = 0
-    for idx, st in enumerate(path.steps):
-        if st.letter == "U":
+    for idx, st in enumerate(path.steps, start=1):
+        if type(st) is not ColoredStep:
+            raise ValueError(f"step {idx} is not a ColoredStep: {st!r}")
+        letter, height, color = st
+        if type(height) is not int or type(color) is not int:
+            raise ValueError(f"step {idx} has a height or color that is not an int: {st!r}")
+        if letter == "U":
             h += 1
             top = h
             bound = 1
-        elif st.letter == "D":
+        elif letter == "D":
             top = h
             h -= 1
             bound = down_colors(top)
-        elif st.letter == "L":
+        elif letter == "L":
             top = h
             bound = level_colors(top)
         else:
-            raise ValueError(f"bad letter {st.letter!r} at step {idx + 1}")
+            raise ValueError(f"bad letter {letter!r} at step {idx}")
         if h < 0:
-            raise ValueError(f"path dips below height 0 at step {idx + 1}")
-        if st.height != top:
+            raise ValueError(f"path dips below height 0 at step {idx}")
+        if height != top:
+            raise ValueError(f"step {idx} claims height {height}, actual {top}")
+        if not 0 <= color < bound:
             raise ValueError(
-                f"step {idx + 1} claims height {st.height}, actual {top}"
+                f"step {idx} ({letter} at height {top}) has color "
+                f"{color}, allowed 0..{bound - 1}"
             )
-        if not 0 <= st.color < bound:
-            raise ValueError(
-                f"step {idx + 1} ({st.letter} at height {top}) has color "
-                f"{st.color}, allowed 0..{bound - 1}"
-            )
-        if elevated and h == 0 and idx + 1 < n:
-            raise ValueError(f"interior touches the axis at step {idx + 1}")
+        if elevated and h == 0 and idx < n:
+            raise ValueError(f"interior touches the axis at step {idx}")
     if h != 0:
         raise ValueError(f"path ends at height {h}, not 0")
 
 
+def encode(values: Sequence[int], family: PathFamily) -> ColoredMotzkinPath:
+    """The path of ``family`` for ``values``, a permutation of its class (not checked):
+    one step per entry of the diagram walk, colored by ``family.color``."""
+    n = len(values)
+    return ColoredMotzkinPath(tuple(
+        ColoredStep(typ.letter, h, 0 if choice is None else family.color(typ, h, choice, i == n))
+        for i, (typ, h, choice) in enumerate(diagram_walk(values), start=1)
+    ))
+
+
+def decode(path: ColoredMotzkinPath, family: PathFamily) -> Permutation:
+    """The permutation that :func:`encode` takes to ``path``, which must have
+    passed :func:`check_family` for ``family``: each L or D step closes the
+    rays that ``family.rays`` names."""
+    n = len(path.steps)
+    vals = [0] * n
+    state = _DiagramState()
+    for i, (letter, h, color) in enumerate(path.steps, start=1):
+        if letter == "U":
+            state.open_rays(i)
+            continue
+        j, k = family.rays(letter, h, color, state, i == n)
+        if not j:
+            vals[i - 1] = state.lower_bounce(k, i) if k else i
+        elif not k:
+            vals[state.upper_bounce(j, i) - 1] = i
+        else:
+            col, vals[i - 1], _ = state.close(j, k)
+            vals[col - 1] = i
+    return Permutation(tuple(vals))
+
+
 def perm_to_path(perm: Permutation | Sequence[int]) -> ColoredMotzkinPath:
     """Encode a permutation as a colored Motzkin path."""
-    pairs: list[tuple[str, int]] = []
-    for typ, h, choice in diagram_walk(_require_permutation(perm)):
-        if typ is DiagonalType.OPEN:
-            pairs.append(("U", 0))
-        elif typ is DiagonalType.FIXED:
-            pairs.append(("L", 0))
-        elif typ is DiagonalType.UPPER_BOUNCE:
-            pairs.append(("L", choice.j))
-        elif typ is DiagonalType.LOWER_BOUNCE:
-            pairs.append(("L", h + choice.k))
-        else:
-            pairs.append(("D", (choice.j - 1) * h + (choice.k - 1)))
-    return ColoredMotzkinPath.from_pairs(pairs)
+    return encode(_require_permutation(perm), STANDARD)
 
 
 def path_to_perm(path: ColoredMotzkinPath) -> Permutation:
     """Decode a colored Motzkin path back to its permutation."""
-    n = len(path.steps)
-    vals = [0] * n
-    state = _DiagramState()
-    for i, st in enumerate(path.steps, start=1):
-        h = st.height
-        if st.letter == "U":
-            state.open_rays(i)
-        elif st.letter == "L":
-            if st.color == 0:
-                vals[i - 1] = i
-            elif st.color <= h:
-                col = state.upper_bounce(st.color, i)
-                vals[col - 1] = i
-            else:
-                row = state.lower_bounce(st.color - h, i)
-                vals[i - 1] = row
-        else:
-            j, k = divmod(st.color, h)
-            col, row, _ = state.close(j + 1, k + 1)
-            vals[col - 1] = i
-            vals[i - 1] = row
-    return Permutation(tuple(vals))
+    return decode(path, STANDARD)
 
 
-def enumerate_paths(
-    n: int,
-    down_colors: Callable[[int], int] = standard_down_colors,
-    level_colors: Callable[[int], int] = standard_level_colors,
-    elevated: bool = False,
-) -> Iterator[ColoredMotzkinPath]:
-    """All colored paths of length n, depth-first in (letter, color) order.
+def enumerate_paths(n: int, family: PathFamily = STANDARD) -> Iterator[ColoredMotzkinPath]:
+    """All paths of ``family`` of length n, depth-first in (letter, color) order.
 
-    ``down_colors(h)`` / ``level_colors(h)`` give the number of colors for a
-    down step falling from height h and a level step at height h.  With
-    ``elevated`` the path is nonempty and its interior stays strictly above 0
-    (the length-1 level path is still allowed).  :func:`check_family` is the
-    matching membership test.  A length over :data:`PATH_CAP` is refused
-    before the first path.
+    An elevated family still has the length-1 level path.
+    :func:`check_family` is the matching membership test.  A length over
+    :data:`PATH_CAP` is refused before the first path.
     """
     pairs: list[tuple[str, int]] = []
 
@@ -238,15 +266,15 @@ def enumerate_paths(
                 yield ColoredMotzkinPath.from_pairs(pairs)
             return
         remaining = n - pos
-        min_h = 1 if (elevated and pos + 1 < n) else 0
+        min_h = 1 if (family.elevated and pos + 1 < n) else 0
         # letters in lexicographic order: D < L < U
         if h >= 1 and h - 1 >= min_h and h - 1 <= remaining - 1:
-            for c in range(down_colors(h)):
+            for c in range(family.down_colors(h)):
                 pairs.append(("D", c))
                 yield from walk(pos + 1, h - 1)
                 pairs.pop()
         if h >= min_h and h <= remaining - 1:
-            for c in range(level_colors(h)):
+            for c in range(family.level_colors(h)):
                 pairs.append(("L", c))
                 yield from walk(pos + 1, h)
                 pairs.pop()
@@ -258,5 +286,5 @@ def enumerate_paths(
     check_size(n, "path length")
     if n > PATH_CAP:
         raise ValueError(f"path enumeration over length {n} is refused; the cap is {PATH_CAP}")
-    if n or not elevated:
+    if n or not family.elevated:
         yield from walk(0, 0)

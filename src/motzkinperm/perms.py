@@ -105,7 +105,7 @@ def classify_entries(values: Sequence[int]) -> tuple[tuple[DiagonalType, int], .
 
 
 class _Record:
-    """Base of the records that wrap one field: slotted, immutable, checked when built.
+    """Base of the records that wrap one tuple: slotted, immutable, checked when built.
 
     A subclass names its field in ``__slots__`` and checks it in ``_check``.
     A record equals only one of its own class with an equal field; pickle and
@@ -115,6 +115,8 @@ class _Record:
     __slots__ = ()
 
     def __init__(self, field) -> None:
+        if type(field) is not tuple:
+            raise ValueError(f"{type(self).__name__} wraps a tuple, not {type(field).__name__}")
         object.__setattr__(self, self.__slots__[0], field)
         self._check()
 

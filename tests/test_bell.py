@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motzkinperm.bell
 import motzkinperm.paths
 from motzkinperm.bell import (
+    BLOCK_PATHS,
+    CYCLE_PATHS,
     SetPartition,
     block_path_to_partition,
     cycle_to_partition,
@@ -17,12 +21,11 @@ from motzkinperm.bell import (
     path_to_cycle,
     set_partitions,
     shorten_path,
-    validate_block_path,
-    validate_cycle_path,
     weak_exc_partition,
 )
 from motzkinperm.oracle import members
 from motzkinperm.paths import (
+    STANDARD,
     ColoredMotzkinPath,
     check_family,
     enumerate_paths,
@@ -70,21 +73,21 @@ def test_path_family_enumerations_are_bell_counted():
 def test_family_validators_accept_their_enumerations():
     for n in range(1, 7):
         for path in enumerate_cycle_paths(n):
-            validate_cycle_path(path)
+            check_family(path, CYCLE_PATHS)
     for n in range(6):
         for path in enumerate_block_paths(n):
-            validate_block_path(path)
+            check_family(path, BLOCK_PATHS)
 
 
 def test_family_validators_reject_outsiders():
     with pytest.raises(ValueError):
-        validate_cycle_path(ColoredMotzkinPath.parse("L0 L0"))  # grounded interior
+        check_family(ColoredMotzkinPath.parse("L0 L0"), CYCLE_PATHS)  # grounded interior
     with pytest.raises(ValueError):
-        validate_cycle_path(ColoredMotzkinPath.parse("U L2 D0"))  # level color 2 > h
+        check_family(ColoredMotzkinPath.parse("U L2 D0"), CYCLE_PATHS)  # level color 2 > h
     with pytest.raises(ValueError):
-        validate_block_path(ColoredMotzkinPath.parse("U L2 D0"))
+        check_family(ColoredMotzkinPath.parse("U L2 D0"), BLOCK_PATHS)
     with pytest.raises(ValueError):
-        validate_block_path(ColoredMotzkinPath.parse("U U D2 D0"))  # down color 2 > h-1
+        check_family(ColoredMotzkinPath.parse("U U D2 D0"), BLOCK_PATHS)  # down color 2 > h-1
 
 
 def _step_lists(n):
@@ -104,20 +107,20 @@ def _step_lists(n):
 
 
 @pytest.mark.parametrize(
-    "enumerate_family, validate",
+    "enumerate_family, family",
     [
-        (enumerate_paths, lambda path: None),  # the constructor checks the standard family
-        (enumerate_cycle_paths, validate_cycle_path),
-        (enumerate_block_paths, validate_block_path),
+        (enumerate_paths, STANDARD),
+        (enumerate_cycle_paths, CYCLE_PATHS),
+        (enumerate_block_paths, BLOCK_PATHS),
     ],
     ids=["standard", "elevated", "grounded"],
 )
-def test_family_validator_accepts_exactly_what_the_enumerator_yields(enumerate_family, validate):
+def test_family_validator_accepts_exactly_what_the_enumerator_yields(enumerate_family, family):
     for n in range(6):
         accepted = set()
         for pairs in _step_lists(n):
             try:
-                validate(ColoredMotzkinPath.from_pairs(pairs))
+                check_family(ColoredMotzkinPath.from_pairs(pairs), family)
             except ValueError:
                 continue
             accepted.add(pairs)
@@ -133,7 +136,7 @@ def test_cycle_encoding_round_trips():
         count = 0
         for values in members(n, SubsetId.CYCLIC_INCREASING_EXC):
             path = cycle_to_path(values)
-            validate_cycle_path(path)
+            check_family(path, CYCLE_PATHS)
             assert len(path) == n
             assert path_to_cycle(path).values == values
             count += 1
@@ -156,11 +159,44 @@ def test_cycle_encoding_rejects_outsiders():
         cycle_to_path(Permutation.parse("4 3 5 1 2"))  # not a single cycle
 
 
+@st.composite
+def cycle_paths(draw, max_len=300):
+    """A random path of the elevated family: the lone level step, or an up
+    step, a walk that stays at height 1 or above within the family's color
+    budgets, and the final fall."""
+    n = draw(st.integers(1, max_len))
+    if n == 1:
+        return ColoredMotzkinPath.parse("L0")
+    pairs, h = [("U", 0)], 1
+    for left in range(n - 2, 0, -1):
+        letters = [c for c, ok in (("U", h < left), ("L", h <= left), ("D", h > 1)) if ok]
+        letter = draw(st.sampled_from(letters))
+        if letter == "U":
+            h += 1
+            pairs.append(("U", 0))
+        elif letter == "L":
+            pairs.append(("L", draw(st.integers(0, CYCLE_PATHS.level_colors(h) - 1))))
+        else:
+            pairs.append(("D", draw(st.integers(0, CYCLE_PATHS.down_colors(h) - 1))))
+            h -= 1
+    pairs.append(("D", 0))
+    return ColoredMotzkinPath.from_pairs(pairs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(cycle_paths())
+def test_large_cycle_paths_round_trip_through_their_cycles(path):
+    cycle = path_to_cycle(path)
+    assert is_member(cycle, SubsetId.CYCLIC_INCREASING_EXC)
+    assert cycle_to_path(cycle) == path
+    assert lengthen_path(shorten_path(path)) == path
+
+
 def test_surgery_shortens_by_one_and_inverts():
     for n in range(1, 8):
         for path in enumerate_cycle_paths(n):
             shorter = shorten_path(path)
-            validate_block_path(shorter)
+            check_family(shorter, BLOCK_PATHS)
             assert len(shorter) == len(path) - 1
             assert lengthen_path(shorter).to_text() == path.to_text()
     for n in range(7):

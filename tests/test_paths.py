@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from motzkinperm.paths import (
     ColoredMotzkinPath,
     ColoredStep,
+    PathFamily,
     enumerate_paths,
     path_to_perm,
     perm_to_path,
@@ -97,13 +98,13 @@ def test_enumeration_respects_custom_colors():
     # Catalan-style budget: one color everywhere counts plain Motzkin paths
     motzkin = [1, 1, 2, 4, 9, 21, 51]
     for n, want in enumerate(motzkin):
-        got = sum(1 for _ in enumerate_paths(n, lambda h: 1, lambda h: 1))
+        got = sum(1 for _ in enumerate_paths(n, PathFamily(lambda h: 1, lambda h: 1)))
         assert got == want
 
 
 def test_elevated_enumeration_stays_above_the_axis():
     for n in range(1, 7):
-        for path in enumerate_paths(n, lambda h: 1, lambda h: 1, elevated=True):
+        for path in enumerate_paths(n, PathFamily(lambda h: 1, lambda h: 1, True)):
             h = 0
             heights = []
             for step in path.steps:
@@ -134,7 +135,7 @@ def test_fiber_sizes_follow_the_step_weights():
         for values in all_perms(n):
             word = perm_to_path(values).word
             fibers[word] = fibers.get(word, 0) + 1
-        for path in enumerate_paths(n, lambda h: 1, lambda h: 1):
+        for path in enumerate_paths(n, PathFamily(lambda h: 1, lambda h: 1)):
             weight = 1
             for step in path.steps:
                 if step.letter == "D":

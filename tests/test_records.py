@@ -1,7 +1,8 @@
 """The package's value records: equality, hashing, repr, immutability, pickling.
 
-Eight records are ``typing.NamedTuple``s; the four that wrap one tuple field
-(three of them checked when built) share the slotted base ``perms._Record``.
+Nine records are ``typing.NamedTuple``s; the four that wrap one tuple field
+(three of them checking its contents when built) share the slotted base
+``perms._Record``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from motzkinperm.bell import SetPartition
 from motzkinperm.census import CensusReport, CheckResult
 from motzkinperm.cfrac import WeightScheme
 from motzkinperm.invert import RecoveryStatus, WeightRecovery
-from motzkinperm.paths import ColoredMotzkinPath, ColoredStep
+from motzkinperm.paths import (
+    ColoredMotzkinPath,
+    ColoredStep,
+    PathFamily,
+    standard_down_colors,
+    standard_level_colors,
+)
 from motzkinperm.perms import (
     DiagonalSequence,
     DiagonalType,
@@ -59,6 +66,11 @@ RECORDS = [
         partial(ClassSpec, (avoids_321,), "xvwq", max, divmod, brute_cap=13),
         True,
     ),
+    (
+        partial(PathFamily, standard_down_colors, standard_level_colors),
+        partial(PathFamily, standard_down_colors, standard_level_colors, True),
+        True,
+    ),
     (partial(Permutation, (3, 1, 2)), partial(Permutation, (2, 3, 1)), True),
     (
         partial(DiagonalSequence, ((DiagonalType.OPEN, 1), (DiagonalType.CLOSE, 1))),
@@ -94,7 +106,7 @@ def test_the_table_holds_every_record_of_the_package():
         and (issubclass(obj, _Record) or (issubclass(obj, tuple) and hasattr(obj, "_fields")))
     }
     assert records == {make().__class__ for make, _, _ in RECORDS}
-    assert len(records) == 12
+    assert len(records) == 13
 
 
 @pytest.mark.parametrize("make, make_changed, hashable", RECORDS, ids=map(_name, RECORDS))
@@ -139,6 +151,18 @@ def test_validating_records_refuse_bad_input_when_built_and_when_unpickled():
         (Permutation, (1, 1, 3), "rearrangement"),
         (ColoredMotzkinPath, (ColoredStep("L", 0, 1),), "color"),
         (SetPartition, ((1, 2), (2, 3)), "overlap"),
+        # Heights, colors and block entries are ints, not bools or floats.
+        (ColoredMotzkinPath, (ColoredStep("L", 0, False),), "not an int"),
+        (ColoredMotzkinPath, (ColoredStep("L", 0.0, 0.0),), "not an int"),
+        (ColoredMotzkinPath, (ColoredStep("U", True, 0), ColoredStep("D", 1, 0)), "not an int"),
+        (ColoredMotzkinPath, (("L", 0, 0),), "not a ColoredStep"),
+        (SetPartition, ((True,),), "tuple of ints"),
+        (SetPartition, ((1.0,),), "tuple of ints"),
+        (SetPartition, ([1],), "tuple of ints"),
+        # A list field would leave the record mutable and unhashable.
+        (Permutation, [3, 1, 2], "wraps a tuple"),
+        (ColoredMotzkinPath, [ColoredStep("L", 0, 0)], "wraps a tuple"),
+        (SetPartition, [[1]], "wraps a tuple"),
     ]
     for cls, field, message in bad:
         with pytest.raises(ValueError, match=message):
