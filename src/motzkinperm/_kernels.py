@@ -24,12 +24,15 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def check_size(n, name: str = "size") -> None:
-    """Refuse a size that is not a nonnegative int; a bool is not a size."""
+def check_size(n, name: str = "size", cap: int | None = None) -> None:
+    """Refuse a size that is not a nonnegative int, or is over ``cap``; a bool
+    is not a size.  Every capped entry point refuses through this one guard."""
     if type(n) is not int:
         raise ValueError(f"{name} must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be nonnegative")
+    if cap is not None and n > cap:
+        raise ValueError(f"{name} {n} is refused; the cap is {cap}")
 
 
 def stat_tuple(values):

@@ -86,9 +86,7 @@ def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     the next fresh one.  An n over :data:`PARTITION_CAP` is refused before the
     first partition.
     """
-    check_size(n)
-    if n > PARTITION_CAP:
-        raise ValueError(f"set partitions over size {n} are refused; the cap is {PARTITION_CAP}")
+    check_size(n, "size", PARTITION_CAP)
     if n == 0:
         yield ()
         return
@@ -287,28 +285,23 @@ def weak_exc_partition(perm: Permutation | Sequence[int]) -> SetPartition:
     """Partition of [n] generated by i ~ p(i) at every strict descent i > p(i).
 
     Restricted to permutations whose weak excedance values increase, this is
-    a bijection onto set partitions of [n].
+    a bijection onto set partitions of [n].  Each value is the image of one
+    entry, so the blocks are chains i -> p(i) < i: read in ascending order,
+    an i with p(i) < i joins p(i)'s block and any other i opens one.
     """
     values = _require_permutation(perm)
     if not is_member(values, SubsetId.INCREASING_WEAK_EXC):
         raise ValueError(
             "weak excedance values must increase left to right"
         )
-    n = len(values)
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    blocks: list[list[int]] = []
+    block_of: list[list[int]] = [[]]  # block_of[i] holds i; entry 0 pads
     for i, v in enumerate(values, start=1):
         if v < i:
-            ra, rb = find(i), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return SetPartition.of(list(groups.values()))
+            block = block_of[v]
+        else:
+            block = []
+            blocks.append(block)
+        block.append(i)
+        block_of.append(block)
+    return SetPartition.of(blocks)

@@ -19,7 +19,7 @@ weight f[n][h] of the length-n prefixes ending at height h obeys
 
     f[n+1][h] = f[n][h-1] + ell(h) f[n][h] + dee(h+1) f[n][h+1]
 
-with heights capped at min(n, order - n).  Only ``+`` and ``*`` are used, with
+with heights kept to min(n, order - n).  Only ``+`` and ``*`` are used, with
 0 and 1 taken from the weights' own type, so int, Fraction and MultiPoly
 weights give int, Fraction and MultiPoly coefficients.  No weight above
 height order // 2 is read.
@@ -96,9 +96,7 @@ class WeightScheme(NamedTuple):
 
     def series(self, order: int) -> tuple[MultiPoly, ...]:
         """Census polynomials c_0..c_order, for order up to MAX_ORDER."""
-        check_size(order, "order")
-        if order > MAX_ORDER:
-            raise ValueError(f"order {order} is over the cap of {MAX_ORDER}; cost grows steeply")
+        check_size(order, "order", MAX_ORDER)
         fn = kfraction_series if self.elevated else jfraction_series
         return fn(self.down, self.level, order)
 

@@ -172,9 +172,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    subset = SubsetId.from_name(args.subset)
     sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
-    report = build_census(subset, args.n_max, args.marks, sources)
+    report = build_census(args.subset, args.n_max, args.marks, sources)
     order = [s for s in (SOURCE_BRUTE, SOURCE_CFRAC, SOURCE_CLOSED) if s in report.values]
     if args.json:
         _print_json(

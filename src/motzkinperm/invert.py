@@ -53,14 +53,6 @@ class WeightRecovery(NamedTuple):
     status: RecoveryStatus
     n_input: int
 
-    def level_weight(self, h: int) -> Fraction:
-        from fractions import Fraction  # see invert_jfraction
-        return self.ell[h] if h < len(self.ell) else Fraction(0)
-
-    def fall_weight(self, h: int) -> Fraction:
-        from fractions import Fraction  # see invert_jfraction
-        return self.dee[h - 1] if 1 <= h <= len(self.dee) else Fraction(0)
-
 
 def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
     """Peel level and fall weights out of the counts c_0..c_n."""

@@ -93,17 +93,16 @@ def _normalize_family(family: str) -> str:
     return key
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, cap: int) -> None:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"counts are defined here for an int n >= 2, got {n!r}")
+    _kernels.check_size(n, "n", cap)
 
 
 def mobius_count(family: str, n: int) -> int:
     """Count of n-cycles avoiding every pattern in the family, by formula."""
     key = _normalize_family(family)
-    _check_n(n)
-    if n > FORMULA_CAP:
-        raise ValueError(f"formula count over size {n} is refused; the cap is {FORMULA_CAP}")
+    _check_n(n, FORMULA_CAP)
     if key in ("213,312", "132,231"):
         total = sum(
             mobius_value(d) * 2 ** (n // d) for d in _divisors(n) if d % 2 == 1
@@ -120,9 +119,7 @@ def mobius_count(family: str, n: int) -> int:
 def brute_count(family: str, n: int) -> int:
     """The same count by walking the n-cycles of the family's shape."""
     key = _normalize_family(family)
-    _check_n(n)
-    if n > BRUTE_CAP:
-        raise ValueError(f"brute-force count over size {n} is refused; the cap is {BRUTE_CAP}")
+    _check_n(n, BRUTE_CAP)
     shape = perms.two_runs(*SHAPES[key])
 
     def prefix_ok(prefix, i, v):

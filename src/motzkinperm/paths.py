@@ -283,8 +283,6 @@ def enumerate_paths(n: int, family: PathFamily = STANDARD) -> Iterator[ColoredMo
             yield from walk(pos + 1, h + 1)
             pairs.pop()
 
-    check_size(n, "path length")
-    if n > PATH_CAP:
-        raise ValueError(f"path enumeration over length {n} is refused; the cap is {PATH_CAP}")
+    check_size(n, "path length", PATH_CAP)
     if n or not family.elevated:
         yield from walk(0, 0)

@@ -419,7 +419,7 @@ class Permutation(_Record):
         return cycle_list(self.values)
 
     def stats(self) -> StatVector:
-        return stats(self.values)
+        return stats(self)
 
     def diagonal(self) -> DiagonalSequence:
         return DiagonalSequence(classify_entries(self.values))

@@ -44,11 +44,11 @@ def scheme_for(
     markers cannot be carried simultaneously there).
     """
     name = subset.value if isinstance(subset, SubsetId) else str(subset)
+    subset_id = None
     if name in EXTRA_SCHEMES:
         spec = EXTRA_SCHEMES[name]
-        subset_id = None
     elif name in scheme_names():
-        subset_id = SubsetId.from_name(name)
+        subset_id = SubsetId(name)
         spec = subset_id.spec
     else:
         raise ValueError(f"unknown scheme {name!r}; choose from {', '.join(scheme_names())}")

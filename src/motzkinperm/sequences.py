@@ -12,13 +12,9 @@ of a test.
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import TYPE_CHECKING
 
 from ._kernels import check_size
 from .cfrac import MAX_ORDER, jfraction_series
-
-if TYPE_CHECKING:
-    from .subsets import SubsetId
 
 
 def factorials(n_max: int) -> list[int]:
@@ -153,14 +149,15 @@ def ogf_increasing_exc_def_counts(n_max: int) -> list[int]:
     return out
 
 
-def closed_form_counts(subset: SubsetId, n_max: int) -> list[int] | None:
-    """Known count formula for a class, or None where no product form exists.
+def closed_form_counts(subset: SubsetId | str, n_max: int) -> list[int] | None:
+    """Known count formula for a class (a :class:`SubsetId` or its name), or
+    None where no product form exists.
 
     Sizes share the continued fraction's cap, so that every census source
     stops at the same order.
     """
-    check_size(n_max, "n_max")
-    if n_max > MAX_ORDER:
-        raise ValueError(f"size {n_max} is over the census cap of {MAX_ORDER}")
-    closed = subset.spec.closed
+    from .subsets import SubsetId  # subsets reads its closed forms from here
+
+    check_size(n_max, "n_max", MAX_ORDER)
+    closed = SubsetId(subset).spec.closed
     return None if closed is None else closed(n_max)

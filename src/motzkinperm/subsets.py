@@ -33,7 +33,7 @@ from .sequences import (
 )
 
 # The largest size the walk may enumerate without a rule (the default walk
-# cap, and the cap of the unpruned walks): 9! = 362,880 permutations.
+# cap, and that of the unpruned walks): 9! = 362,880 permutations.
 MAX_BRUTE_N = 9
 
 
@@ -55,10 +55,8 @@ class SubsetId(enum.Enum):
     INVOLUTIONS321 = "Involutions321"
 
     @classmethod
-    def from_name(cls, name: str) -> "SubsetId":
-        for member in cls:
-            if member.value == name:
-                return member
+    def _missing_(cls, name):
+        """``SubsetId(x)`` takes a member or its name and refuses anything else."""
         raise ValueError(
             f"unknown subset {name!r}; choose from "
             + ", ".join(m.value for m in cls)
@@ -355,13 +353,14 @@ CLASSES: dict[SubsetId, ClassSpec] = {
 }
 
 
-def is_member(values: Sequence[int], subset: SubsetId) -> bool:
-    """Whether ``values`` lies in the class; ValueError unless it is a permutation.
+def is_member(values: Sequence[int], subset: SubsetId | str) -> bool:
+    """Whether ``values`` lies in the class, a :class:`SubsetId` or its name;
+    ValueError unless it is a permutation and the class is known.
 
     Each value is put to the class's rules as the walk would place it.
     """
     values = _require_permutation(values)
-    spec = subset.spec
+    spec = SubsetId(subset).spec
     rule = spec.prefix_ok
     if rule is not None:
         prefix = Prefix(len(values))

@@ -12,9 +12,7 @@ from motzkinperm.census import (
     census,
     check_all,
 )
-from motzkinperm.cfrac import WeightScheme
 from motzkinperm.polys import MultiPoly
-from motzkinperm.schemes import scheme_for
 from motzkinperm.sequences import catalan_numbers
 from motzkinperm.subsets import CLASSES, SubsetId
 
@@ -70,7 +68,7 @@ def test_census_input_validation():
     with pytest.raises(ValueError):
         census(SubsetId.ALL, 15, sources=("bf",))
     for subset in SubsetId:
-        with pytest.raises(ValueError, match="capped at size"):
+        with pytest.raises(ValueError, match="the cap is"):
             census(subset, subset.spec.brute_cap + 1, sources=("bf",))
     for size in (2.5, "3", None, True):
         with pytest.raises(ValueError, match="n_max must be an int"):
@@ -108,17 +106,13 @@ def test_classes_without_closed_forms_compare_two_sources():
     assert list(report.agreements) == [f"{SOURCE_BRUTE}={SOURCE_CFRAC}"]
 
 
-def test_corrupted_scheme_is_caught():
-    good = scheme_for(SubsetId.ALL, marks="xvwt")
-    one = MultiPoly.one()
-    bad = WeightScheme(
-        name=good.name,
-        down=lambda h: good.down(h) + one,
-        level=good.level,
-        elevated=good.elevated,
-        marks=good.marks,
+def test_corrupted_scheme_is_caught(monkeypatch):
+    spec = SubsetId.ALL.spec
+    assert census(SubsetId.ALL, 4, marks="xvwt", sources=("bf", "cf")).passing
+    monkeypatch.setitem(
+        CLASSES, SubsetId.ALL, spec._replace(down=lambda *hs: spec.down(*hs) + 1)
     )
-    report = census(SubsetId.ALL, 4, marks="xvwt", sources=("bf", "cf"), scheme=bad)
+    report = census(SubsetId.ALL, 4, marks="xvwt", sources=("bf", "cf"))
     assert not report.passing
 
 

@@ -172,7 +172,7 @@ def test_cf_order_is_capped_before_any_expansion(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and f"cap of {MAX_ORDER}" in err
+        assert err.startswith("error:") and f"the cap is {MAX_ORDER}" in err
 
 
 def test_invert_plain_and_regenerated(capsys):

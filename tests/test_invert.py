@@ -123,16 +123,6 @@ def test_baxter_weights_are_not_a_colored_path_census():
     assert classify_weights(rec) == "negative-or-fractional"
 
 
-def test_weight_accessors_zero_pad():
-    rec = invert_jfraction(bell_numbers(6))
-    assert rec.level_weight(0) == 1
-    assert rec.level_weight(2) == 3
-    assert rec.level_weight(99) == 0
-    assert rec.fall_weight(1) == 1
-    assert rec.fall_weight(99) == 0
-    assert rec.fall_weight(0) == 0
-
-
 def _peel_by_reciprocals(terms):
     """Reference: peel each level with a full series reciprocal, O(n^3)."""
     cur = [Fraction(t) for t in terms]
@@ -264,5 +254,10 @@ def test_regeneration_equals_the_fraction_path_sum(ell, dee, status, order):
     """Integer weights over a common denominator give the ``Fraction`` path sum."""
     rec = WeightRecovery(tuple(ell), tuple(dee), status, order + 1)
     got = regenerate(rec, order)
-    assert got == list(jfraction_series(rec.fall_weight, rec.level_weight, order))
+    padded = jfraction_series(
+        lambda h: dee[h - 1] if h <= len(dee) else Fraction(0),
+        lambda h: ell[h] if h < len(ell) else Fraction(0),
+        order,
+    )
+    assert got == list(padded)
     assert all(type(c) is Fraction for c in got)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motzkinperm._kernels import prefix_walk, stat_tuple, state_tallies
+import motzkinperm
+from motzkinperm._kernels import check_size, prefix_walk, stat_tuple, state_tallies
 from motzkinperm.oracle import count
 from motzkinperm.subsets import SubsetId
 
@@ -149,3 +153,15 @@ def test_census_of_the_empty_permutation_and_negative_sizes():
     for size in (2.5, "3", None, True):
         with pytest.raises(ValueError, match="size must be an int"):
             state_tallies(size)
+
+
+def test_check_size_is_the_only_cap_guard():
+    """No module refuses a size over a cap in its own words."""
+    src = Path(motzkinperm.__file__).parent
+    hits = [
+        line.strip()
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search("the cap is|cap of|capped at", line)
+    ]
+    assert len(hits) == 1 and hits[0] in inspect.getsource(check_size)

@@ -7,13 +7,16 @@ import random
 
 import pytest
 
+from motzkinperm import _kernels, cfrac, mobius
 from motzkinperm.bell import (
     PARTITION_CAP,
     enumerate_block_paths,
     enumerate_cycle_paths,
     set_partitions,
 )
-from motzkinperm.cfrac import jfraction_series, kfraction_series
+from motzkinperm.cfrac import MAX_ORDER, jfraction_series, kfraction_series
+from motzkinperm.mobius import BRUTE_CAP, FORMULA_CAP, brute_count, mobius_count
+from motzkinperm.oracle import consecutive_123_distribution, distributions, members, sweep_counts
 from motzkinperm.paths import PATH_CAP, enumerate_paths
 from motzkinperm.perms import random_permutation
 from motzkinperm.schemes import scheme_for
@@ -31,7 +34,7 @@ from motzkinperm.sequences import (
     median_genocchi_numbers,
     ogf_increasing_exc_def_counts,
 )
-from motzkinperm.subsets import SubsetId
+from motzkinperm.subsets import MAX_BRUTE_N, SubsetId
 
 from reference import (
     central_binomials,
@@ -220,6 +223,35 @@ def test_every_enumerator_refuses_a_size_over_its_cap_before_the_first_item(enum
         with pytest.raises(ValueError, match=f"the cap is {cap}"):
             next(enumerate_(n))
     assert next(enumerate_(cap))
+
+
+@pytest.mark.parametrize(
+    "call, cap",
+    [
+        (lambda n: distributions(n, SubsetId.ALL), SubsetId.ALL.spec.brute_cap),
+        (lambda n: members(n, SubsetId.ALL), MAX_BRUTE_N),
+        (sweep_counts, MAX_BRUTE_N),
+        (consecutive_123_distribution, MAX_BRUTE_N),
+        (lambda n: scheme_for(SubsetId.ALL, "x").series(n), MAX_ORDER),
+        (lambda n: closed_form_counts(SubsetId.ALL, n), MAX_ORDER),
+        (lambda n: brute_count("213,312", n), BRUTE_CAP),
+        (lambda n: mobius_count("213,312", n), FORMULA_CAP),
+    ],
+    ids=["distributions", "members", "sweep_counts", "consecutive_123_distribution",
+         "series", "closed_form_counts", "brute_count", "mobius_count"],
+)
+def test_every_capped_entry_point_refuses_a_size_over_its_cap_before_any_work(
+    call, cap, monkeypatch
+):
+    def work(*args):
+        raise AssertionError("work started")
+
+    for module, name in ((_kernels, "prefix_walk"), (_kernels, "state_tallies"),
+                         (cfrac, "_path_sums"), (mobius, "_divisors")):
+        monkeypatch.setattr(module, name, work)
+    for n in (cap + 1, 10**6):
+        with pytest.raises(ValueError, match=rf" {n} is refused; the cap is {cap}$"):
+            call(n)
 
 
 def test_zero_length_prefixes():

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkinperm._kernels import Prefix, prefix_walk
-from motzkinperm.oracle import distribution
+from motzkinperm.census import census
+from motzkinperm.oracle import count, distribution, distributions, members
 from motzkinperm.perms import DiagonalType, classify_entries, cycle_list, inverse
 from motzkinperm.schemes import scheme_for
+from motzkinperm.sequences import closed_form_counts
 from motzkinperm.subsets import (
     SubsetId,
     has_no_nested_fixed_point,
@@ -43,9 +45,29 @@ def _every_prefix_passes(perm, test):
 
 def test_subset_names_round_trip():
     for subset in SubsetId:
-        assert SubsetId.from_name(subset.value) is subset
+        assert SubsetId(subset.value) is subset
     with pytest.raises(ValueError):
-        SubsetId.from_name("NoSuchClass")
+        SubsetId("NoSuchClass")
+
+
+CLASS_TAKERS = {
+    "census": lambda s: census(s, 3),
+    "distributions": lambda s: distributions(3, s),
+    "distribution": lambda s: distribution(3, s),
+    "count": lambda s: count(3, s),
+    "members": lambda s: list(members(3, s)),
+    "is_member": lambda s: is_member((1, 2), s),
+    "closed_form_counts": lambda s: closed_form_counts(s, 3),
+}
+
+
+@pytest.mark.parametrize("call", CLASS_TAKERS.values(), ids=CLASS_TAKERS)
+def test_every_class_taker_takes_a_member_or_its_name(call):
+    for subset in SubsetId:
+        assert call(subset.value) == call(subset)
+    for bad in ("Nope", 3, None):
+        with pytest.raises(ValueError, match="unknown subset"):
+            call(bad)
 
 
 def test_everything_is_in_the_full_class():
