@@ -10,7 +10,8 @@ package makes into one callable suite, which is what the command-line
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, NamedTuple
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bell, mobius
 from ._kernels import check_size
@@ -96,10 +97,7 @@ def census(
             values[SOURCE_CLOSED] = closed
 
     present = [s for s in chosen if s in values]
-    agreements: dict[str, bool] = {}
-    for i, a in enumerate(present):
-        for b in present[i + 1 :]:
-            agreements[f"{a}={b}"] = values[a] == values[b]
+    agreements = {f"{a}={b}": values[a] == values[b] for a, b in combinations(present, 2)}
     return CensusReport(subset.value, n_max, marks, values, agreements)
 
 
@@ -112,31 +110,27 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _check_path_bijection(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
+def _check_path_bijection(max_n: int, rng: random.Random) -> Iterator[str]:
     for n in range(0, min(max_n, 6) + 1):
-        seen: set[str] = set()
+        seen = set()
         for values in members(n, SubsetId.ALL):
             path = perm_to_path(values)
             if path_to_perm(path).values != values:
-                failures.append(f"round trip broke on {values}")
-            seen.add(path.to_text())
-        expected = {p.to_text() for p in enumerate_paths(n)}
-        if seen != expected:
-            failures.append(f"image mismatch at n={n}")
+                yield f"round trip broke on {values}"
+            seen.add(path)
+        if seen != set(enumerate_paths(n)):
+            yield f"image mismatch at n={n}"
     for n in range(7, min(max_n, MAX_BRUTE_N) + 1):
         for _ in range(100):
             values = random_permutation(n, rng)
             if path_to_perm(perm_to_path(values)).values != values:
-                failures.append(f"round trip broke on {values}")
-    return failures
+                yield f"round trip broke on {values}"
 
 
-def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
+def _check_subset_censuses(max_n: int, rng: random.Random) -> Iterator[str]:
     """Every class's census with all its markers against its continued
     fraction, and its counts against its closed form, each up to its own cap;
     All once with t and once with q, which no scheme carries together."""
-    failures: list[str] = []
     for subset in SubsetId:
         top = min(max_n, subset.spec.brute_cap)
         for marks in ("xvwt", "xvwq") if subset is SubsetId.ALL else (subset.spec.marks,):
@@ -145,123 +139,99 @@ def _check_subset_censuses(max_n: int, rng: random.Random) -> list[str]:
             for n in range(top + 1):
                 if series[n] != counted[n]:
                     exps = (series[n] - counted[n]).to_terms()[0][0]
-                    failures.append(
+                    yield (
                         f"{subset.value} marks {marks} at n={n}: the coefficient of "
                         f"{MultiPoly.monomial(exps)} is {series[n].coefficient(exps)} by "
                         f"the fraction, {counted[n].coefficient(exps)} by enumeration"
                     )
         for n, want in enumerate(closed_form_counts(subset, top) or ()):
             if want != counted[n].value_at_ones():
-                failures.append(
+                yield (
                     f"{subset.value} closed form says {want} at n={n}, "
                     f"enumeration says {counted[n].value_at_ones()}"
                 )
-    return failures
 
 
-def _check_consecutive_123(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
+def _check_consecutive_123(max_n: int, rng: random.Random) -> Iterator[str]:
     cap = min(max_n, 6)
     series = scheme_for("Consecutive123", "w").series(cap)
     avoiders = consecutive_123_avoider_counts(cap)
     for n in range(cap + 1):
-        want = consecutive_123_distribution(n)
         got = series[n]
-        if got != want:
-            failures.append(f"run-count distribution disagrees at n={n}")
+        if got != consecutive_123_distribution(n):
+            yield f"run-count distribution disagrees at n={n}"
         if got.substitute(w=0) != avoiders[n]:
-            failures.append(f"run-free count disagrees at n={n}")
-    return failures
+            yield f"run-free count disagrees at n={n}"
 
 
-def _check_bell_pipeline(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
-    cap = min(max_n + 1, 7)
-    for n in range(1, cap + 1):
-        images: set[str] = set()
+def _check_bell_pipeline(max_n: int, rng: random.Random) -> Iterator[str]:
+    for n in range(1, min(max_n + 1, 7) + 1):
+        images = set()
         for values in members(n, SubsetId.CYCLIC_INCREASING_EXC):
             epath = bell.cycle_to_path(values)
             if bell.path_to_cycle(epath).values != values:
-                failures.append(f"cycle path round trip broke on {values}")
+                yield f"cycle path round trip broke on {values}"
             bpath = bell.shorten_path(epath)
-            if bell.lengthen_path(bpath).to_text() != epath.to_text():
-                failures.append(f"surgery round trip broke on {values}")
-            images.add(bell.block_path_to_partition(bpath).to_text())
-        expected = {
-            bell.SetPartition.of(p).to_text() for p in bell.set_partitions(n - 1)
-        }
-        if images != expected:
-            failures.append(f"partition image mismatch at n={n}")
-    return failures
+            if bell.lengthen_path(bpath) != epath:
+                yield f"surgery round trip broke on {values}"
+            images.add(bell.block_path_to_partition(bpath))
+        if images != {bell.SetPartition.of(p) for p in bell.set_partitions(n - 1)}:
+            yield f"partition image mismatch at n={n}"
 
 
-def _check_area_law(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
+def _check_area_law(max_n: int, rng: random.Random) -> Iterator[str]:
     for n in range(0, min(max_n, 7) + 1):
         for values in members(n, SubsetId.AVOID321):
             if perm_to_path(values).area() != stats(values).inversions:
-                failures.append(f"area law broke on {values}")
-    return failures
+                yield f"area law broke on {values}"
 
 
-def _check_mobius(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
+def _check_mobius(max_n: int, rng: random.Random) -> Iterator[str]:
     for family in mobius.FAMILIES:
         for n in range(2, min(max_n, mobius.BRUTE_CAP) + 1):
             formula = mobius.mobius_count(family, n)
             counted = mobius.brute_count(family, n)
             if formula != counted:
-                failures.append(
-                    f"family {family} at n={n}: formula {formula}, count {counted}"
-                )
-    return failures
+                yield f"family {family} at n={n}: formula {formula}, count {counted}"
 
 
-def _check_invert_roundtrip(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
+def _check_invert_roundtrip(max_n: int, rng: random.Random) -> Iterator[str]:
     for trial in range(5):
         ell = [rng.randint(0, 3) for _ in range(7)]
         dee = [rng.randint(1, 4) for _ in range(7)]
         series = list(jfraction_series(lambda h: dee[h - 1], lambda h: ell[h], 12))
         rec = invert_jfraction(series)
         if rec.status is not RecoveryStatus.COMPLETE:
-            failures.append(f"trial {trial}: status {rec.status.value}")
+            yield f"trial {trial}: status {rec.status.value}"
             continue
         if list(rec.ell) != ell[:6] or list(rec.dee) != dee[:6]:
-            failures.append(f"trial {trial}: recovered weights differ")
+            yield f"trial {trial}: recovered weights differ"
         if regenerate(rec) != series:
-            failures.append(f"trial {trial}: regeneration differs")
-    return failures
+            yield f"trial {trial}: regeneration differs"
 
 
-def _check_reference_recoveries(max_n: int, rng: random.Random) -> list[str]:
-    failures: list[str] = []
-    nice = {
-        "genocchi": genocchi_numbers(12),
-        "median-genocchi": median_genocchi_numbers(12),
-        "run-free": consecutive_123_avoider_counts(12),
-    }
-    for label, terms in nice.items():
-        verdict = classify_weights(invert_jfraction(terms))
-        if verdict != "nonnegative-integers":
-            failures.append(f"{label} classified {verdict}")
-    baxter = classify_weights(invert_jfraction(baxter_numbers(12)))
-    if baxter != "negative-or-fractional":
-        failures.append(f"baxter classified {baxter}")
-    return failures
+def _check_reference_recoveries(max_n: int, rng: random.Random) -> Iterator[str]:
+    for label, terms, want in (
+        ("genocchi", genocchi_numbers, "nonnegative-integers"),
+        ("median-genocchi", median_genocchi_numbers, "nonnegative-integers"),
+        ("run-free", consecutive_123_avoider_counts, "nonnegative-integers"),
+        ("baxter", baxter_numbers, "negative-or-fractional"),
+    ):
+        verdict = classify_weights(invert_jfraction(terms(12)))
+        if verdict != want:
+            yield f"{label} classified {verdict}"
 
 
-def _check_corrupted_scheme(max_n: int, rng: random.Random) -> list[str]:
+def _check_corrupted_scheme(max_n: int, rng: random.Random) -> Iterator[str]:
     base = scheme_for(SubsetId.ALL, "")
     bumped = base._replace(
         name="All(corrupted)", down=lambda h: base.down(h) + (1 if h == 1 else 0)
     )
     if bumped.counts(2) == distributions(2, SubsetId.ALL, ""):
-        return ["a deliberately wrong fall weight went undetected at n=2"]
-    return []
+        yield "a deliberately wrong fall weight went undetected at n=2"
 
 
-_CHECKS: tuple[tuple[str, Callable[[int, random.Random], list[str]]], ...] = (
+_CHECKS: tuple[tuple[str, Callable[[int, random.Random], Iterator[str]]], ...] = (
     ("path-bijection", _check_path_bijection),
     ("census-subsets", _check_subset_censuses),
     ("consecutive-123", _check_consecutive_123),
@@ -275,12 +245,15 @@ _CHECKS: tuple[tuple[str, Callable[[int, random.Random], list[str]]], ...] = (
 
 
 def check_all(max_n: int = 6, seed: int = 0) -> list[CheckResult]:
-    """Run every cross-check; a raised exception counts as a failure."""
+    """Run every cross-check, each to its end, and report its first four
+    failures; a check that raises reports that as its one failure."""
     check_size(max_n, "max_n")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     results = []
     for name, fn in _CHECKS:
         try:
-            failures = fn(max_n, random.Random(seed))
+            failures = list(fn(max_n, random.Random(seed)))
         except Exception as exc:  # a crashed check must not hide the rest
             failures = [f"crashed: {exc}"]
         results.append(CheckResult(name, not failures, "; ".join(failures[:4])))

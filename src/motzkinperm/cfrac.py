@@ -39,13 +39,11 @@ from .polys import MultiPoly
 MAX_ORDER = 24
 
 
-def _path_sums(
-    dee: Callable[[int], object], ell: Callable[[int], object], order: int, base: int
-) -> list:
-    """Weights of the paths of length 0..order from height base back to it, never below."""
+def _path_sums(dee: Callable[[int], object], ell: Callable[[int], object], order: int) -> list:
+    """Weights of the paths of length 0..order from height 0 back to it, never below."""
     top = order // 2
-    levels = [ell(base + h) for h in range(top + 1)]
-    falls = [dee(base + h) for h in range(1, top + 1)]
+    levels = [ell(h) for h in range(top + 1)]
+    falls = [dee(h) for h in range(1, top + 1)]
     zero = levels[0] * 0
     f = [zero + 1]
     sums = [f[0]]
@@ -69,7 +67,7 @@ def jfraction_series(
 ) -> tuple:
     """Grounded-path census c_0..c_order from level weights ell and fall weights dee."""
     check_size(order, "order")
-    return tuple(_path_sums(dee, ell, order, 0))
+    return tuple(_path_sums(dee, ell, order))
 
 
 def kfraction_series(
@@ -81,7 +79,8 @@ def kfraction_series(
     sums = [lead * 0, lead][: order + 1]
     if order >= 2:
         fall = dee(1)
-        sums += [c * fall for c in _path_sums(dee, ell, order - 2, 1)]
+        raised = _path_sums(lambda h: dee(h + 1), lambda h: ell(h + 1), order - 2)
+        sums += [c * fall for c in raised]
     return tuple(sums)
 
 

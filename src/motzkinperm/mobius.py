@@ -49,8 +49,9 @@ FORMULA_CAP = 10_000
 
 def mobius_value(n: int) -> int:
     """The number-theoretic Mobius function, for an int n from 1 to FORMULA_CAP."""
-    if type(n) is not int or not 1 <= n <= FORMULA_CAP:
-        raise ValueError(f"mobius_value needs an int 1 <= n <= {FORMULA_CAP}, got {n!r}")
+    _kernels.check_size(n, "n", FORMULA_CAP)
+    if n == 0:
+        raise ValueError("the Mobius function is defined for n >= 1")
     result = 1
     m = n
     p = 2

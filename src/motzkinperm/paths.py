@@ -147,29 +147,23 @@ class ColoredMotzkinPath(_Record):
     def area(self) -> int:
         """Area between the path and the x-axis.
 
-        A level step at height h contributes h; an up or down step between
-        heights a and b contributes (a+b)/2.  The total is an integer because
-        up and down steps pair off.
+        A level step at height h contributes h and an up or down step with
+        top h contributes h - 1/2; up and down steps pair off, so the halves
+        sum to minus the number of up steps.
         """
-        doubled = 0
-        for st in self.steps:
-            if st.letter == "L":
-                doubled += 2 * st.height
-            else:
-                doubled += 2 * st.height - 1
-        if doubled % 2:
-            raise AssertionError("half-integer area on a closed path")
-        return doubled // 2
+        return sum(st.height for st in self.steps) - self.word.count("U")
 
 
 def check_family(path: ColoredMotzkinPath, family: PathFamily = STANDARD) -> None:
     """Raise ValueError unless :func:`enumerate_paths` of ``family`` yields ``path``.
 
-    Checks each step's type (a :class:`ColoredStep` of int height and color),
-    letter, claimed height and color budget, and that the path never dips
-    below the axis and ends on it; an elevated path is nonempty and its
-    interior stays strictly above 0.
+    Checks the path's type, each step's type (a :class:`ColoredStep` of int
+    height and color), letter, claimed height and color budget, and that the
+    path never dips below the axis and ends on it; an elevated path is
+    nonempty and its interior stays strictly above 0.
     """
+    if not isinstance(path, ColoredMotzkinPath):
+        raise ValueError(f"expected a ColoredMotzkinPath, got {type(path).__name__}")
     down_colors, level_colors, elevated = family.down_colors, family.level_colors, family.elevated
     n = len(path.steps)
     if elevated and n == 0:
@@ -223,6 +217,8 @@ def decode(path: ColoredMotzkinPath, family: PathFamily) -> Permutation:
     """The permutation that :func:`encode` takes to ``path``, which must have
     passed :func:`check_family` for ``family``: each L or D step closes the
     rays that ``family.rays`` names."""
+    if not isinstance(path, ColoredMotzkinPath):
+        raise ValueError(f"expected a ColoredMotzkinPath, got {type(path).__name__}")
     n = len(path.steps)
     vals = [0] * n
     state = _DiagramState()
@@ -236,7 +232,7 @@ def decode(path: ColoredMotzkinPath, family: PathFamily) -> Permutation:
         elif not k:
             vals[state.upper_bounce(j, i) - 1] = i
         else:
-            col, vals[i - 1], _ = state.close(j, k)
+            col, vals[i - 1] = state.close(j, k)
             vals[col - 1] = i
     return Permutation(tuple(vals))
 

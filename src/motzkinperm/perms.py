@@ -222,17 +222,16 @@ class _DiagramState:
         row = self.match_v[self.verticals[j - 1]]
         return self.horizontals.index(row) + 1
 
-    def close(self, j: int, k: int) -> tuple[int, int, bool]:
+    def close(self, j: int, k: int) -> tuple[int, int]:
         """Close vertical j and horizontal k; rewire chains if they differ."""
         col = self.verticals.pop(j - 1)
         row = self.horizontals.pop(k - 1)
         partner_row = self.match_v.pop(col)
         partner_col = self.match_h.pop(row)
-        completed = partner_row == row
-        if not completed:
+        if partner_row != row:
             self.match_v[partner_col] = partner_row
             self.match_h[partner_row] = partner_col
-        return col, row, completed
+        return col, row
 
 
 def diagram_walk(

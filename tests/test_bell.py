@@ -28,7 +28,9 @@ from motzkinperm.paths import (
     STANDARD,
     ColoredMotzkinPath,
     check_family,
+    decode,
     enumerate_paths,
+    path_to_perm,
     standard_down_colors,
     standard_level_colors,
 )
@@ -52,6 +54,20 @@ def test_set_partition_validation():
         SetPartition(((2,), (1,)))  # blocks out of order
     with pytest.raises(ValueError):
         SetPartition(((),))  # empty block
+
+
+def test_every_path_taking_entry_point_refuses_a_non_path():
+    for call, arg in (
+        (path_to_perm, "U L0 D0"),
+        (lambda p: decode(p, STANDARD), "U L0 D0"),
+        (path_to_cycle, "U L0 D0"),
+        (shorten_path, ()),
+        (lengthen_path, [("L", 0)]),
+        (block_path_to_partition, []),
+        (check_family, None),
+    ):
+        with pytest.raises(ValueError, match="expected a ColoredMotzkinPath"):
+            call(arg)
 
 
 def test_set_partition_text_round_trip():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import motzkinperm._kernels
+from motzkinperm import bell
 from motzkinperm.census import (
     SOURCE_BRUTE,
     SOURCE_CFRAC,
@@ -12,11 +15,16 @@ from motzkinperm.census import (
     census,
     check_all,
 )
+from motzkinperm.paths import ColoredMotzkinPath, enumerate_paths, path_to_perm
+from motzkinperm.perms import Permutation
 from motzkinperm.polys import MultiPoly
 from motzkinperm.sequences import catalan_numbers
 from motzkinperm.subsets import CLASSES, SubsetId
 
 from reference import variables_used
+
+# the package exports the census function under the module's name
+census_module = importlib.import_module("motzkinperm.census")
 
 
 def test_count_census_for_every_class_passes():
@@ -120,6 +128,74 @@ def test_check_all_refuses_a_bad_size_before_running_any_check():
     for size in (-1, 2.5, "3", None, True):
         with pytest.raises(ValueError, match="max_n must be"):
             check_all(size)
+
+
+def test_check_all_refuses_a_seed_that_is_not_an_int_before_running_any_check(monkeypatch):
+    def ran(max_n, rng):
+        raise AssertionError("a check ran")
+        yield
+
+    monkeypatch.setattr(census_module, "_CHECKS", (("ran", ran),))
+    for seed in ([1], 2.0, "3", None):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            check_all(3, seed)
+
+
+def test_check_all_keeps_four_failures_and_reports_a_crash_without_stopping(monkeypatch):
+    def six(max_n, rng):
+        for i in range(6):
+            yield f"failure {i}"
+
+    def crashes(max_n, rng):
+        # four failures first: a collector that stopped at four would miss the crash
+        yield from ("lost",) * 4
+        raise RuntimeError("boom")
+
+    def passes(max_n, rng):
+        yield from ()
+
+    monkeypatch.setattr(
+        census_module, "_CHECKS", (("six", six), ("crashes", crashes), ("passes", passes))
+    )
+    assert [tuple(r) for r in check_all(3)] == [
+        ("six", False, "failure 0; failure 1; failure 2; failure 3"),
+        ("crashes", False, "crashed: boom"),
+        ("passes", True, ""),
+    ]
+
+
+def _reversed_path_to_perm(path):
+    return Permutation(path_to_perm(path).values[::-1])
+
+
+def _all_but_the_first_path(n):
+    return list(enumerate_paths(n))[1:]
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, failing, detail",
+    [
+        (census_module, "path_to_perm", _reversed_path_to_perm, "path-bijection",
+         "round trip broke on (1, 2)"),
+        (census_module, "enumerate_paths", _all_but_the_first_path, "path-bijection",
+         "image mismatch at n=0"),
+        (bell, "lengthen_path", lambda path: ColoredMotzkinPath.from_pairs([("L", 0)]),
+         "bell-pipeline", "surgery round trip broke on (2, 1)"),
+        (bell, "block_path_to_partition", lambda path: bell.SetPartition(()),
+         "bell-pipeline", "partition image mismatch at n=2"),
+    ],
+    ids=["path_to_perm", "enumerate_paths", "lengthen_path", "block_path_to_partition"],
+)
+def test_a_broken_bijection_fails_its_own_check(module, name, broken, failing, detail, monkeypatch):
+    monkeypatch.setattr(
+        census_module,
+        "_CHECKS",
+        tuple(c for c in census_module._CHECKS if c[0] in ("path-bijection", "bell-pipeline")),
+    )
+    monkeypatch.setattr(module, name, broken)
+    results = check_all(4)
+    assert [r.name for r in results if not r.passed] == [failing]
+    assert next(r.detail for r in results if not r.passed).startswith(detail)
 
 
 def test_check_all_passes_and_covers_the_advertised_ground():

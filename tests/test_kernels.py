@@ -156,12 +156,13 @@ def test_census_of_the_empty_permutation_and_negative_sizes():
 
 
 def test_check_size_is_the_only_cap_guard():
-    """No module refuses a size over a cap in its own words."""
+    """No module refuses a size over a cap in its own words, such as a range
+    ``1 <= n <= {FORMULA_CAP}`` in an f-string."""
     src = Path(motzkinperm.__file__).parent
     hits = [
         line.strip()
         for path in sorted(src.glob("*.py"))
         for line in path.read_text().splitlines()
-        if re.search("the cap is|cap of|capped at", line)
+        if re.search(r"the cap is|cap of|capped at|<= \{\w*CAP\w*\}", line)
     ]
     assert len(hits) == 1 and hits[0] in inspect.getsource(check_size)

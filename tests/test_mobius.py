@@ -48,12 +48,14 @@ def test_mobius_function_values():
 def test_mobius_value_refuses_a_non_int_or_a_size_above_the_cap_at_once():
     for n in (2**61 - 1, FORMULA_CAP + 1):
         start = time.process_time()
-        with pytest.raises(ValueError, match=f"1 <= n <= {FORMULA_CAP}"):
+        with pytest.raises(ValueError, match=f"the cap is {FORMULA_CAP}"):
             mobius_value(n)
         assert time.process_time() - start < 1
-    for n in (True, False, 6.0, "6", None, -1):
-        with pytest.raises(ValueError, match="needs an int"):
+    for n in (True, False, 6.0, "6", None):
+        with pytest.raises(ValueError, match="n must be an int"):
             mobius_value(n)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        mobius_value(-1)
     assert mobius_value(FORMULA_CAP) == 0
     assert mobius_value(9973) == -1  # the largest prime under the cap
 

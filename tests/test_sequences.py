@@ -15,7 +15,7 @@ from motzkinperm.bell import (
     set_partitions,
 )
 from motzkinperm.cfrac import MAX_ORDER, jfraction_series, kfraction_series
-from motzkinperm.mobius import BRUTE_CAP, FORMULA_CAP, brute_count, mobius_count
+from motzkinperm.mobius import BRUTE_CAP, FORMULA_CAP, brute_count, mobius_count, mobius_value
 from motzkinperm.oracle import consecutive_123_distribution, distributions, members, sweep_counts
 from motzkinperm.paths import PATH_CAP, enumerate_paths
 from motzkinperm.perms import random_permutation
@@ -236,9 +236,10 @@ def test_every_enumerator_refuses_a_size_over_its_cap_before_the_first_item(enum
         (lambda n: closed_form_counts(SubsetId.ALL, n), MAX_ORDER),
         (lambda n: brute_count("213,312", n), BRUTE_CAP),
         (lambda n: mobius_count("213,312", n), FORMULA_CAP),
+        (mobius_value, FORMULA_CAP),
     ],
     ids=["distributions", "members", "sweep_counts", "consecutive_123_distribution",
-         "series", "closed_form_counts", "brute_count", "mobius_count"],
+         "series", "closed_form_counts", "brute_count", "mobius_count", "mobius_value"],
 )
 def test_every_capped_entry_point_refuses_a_size_over_its_cap_before_any_work(
     call, cap, monkeypatch
