@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from ._kernels import check_size
 from .paths import ColoredMotzkinPath, PathFamily, check_family, decode, encode, enumerate_paths
-from .perms import DiagonalType, Permutation, _Record, _require_permutation
+from .perms import Permutation, _Record, _require_permutation
 from .subsets import SubsetId, is_member
 
 
@@ -123,20 +123,19 @@ def _level_colors(h: int) -> int:
     return h + 1
 
 
-def _cycle_color(typ: DiagonalType, h: int, choice, last: bool) -> int:
-    if typ is DiagonalType.UPPER_BOUNCE:
-        if choice.j != 1:
-            raise AssertionError("upper bounce off the oldest ray expected")
+def _cycle_color(letter: str, h: int, j: int, k: int, state, last: bool) -> int:
+    if not j:  # a lower bounce
+        return k - 1
+    if j != 1:
+        raise AssertionError("upper bounce or close off the oldest vertical ray expected")
+    if letter == "L":
         return h
-    if typ is DiagonalType.LOWER_BOUNCE:
-        return choice.k - 1
-    if choice.k == choice.cycle_k:
+    cycle_k = state.cycle_k(1)
+    if k == cycle_k:
         if not last:
             raise AssertionError("cycle closed before the final step")
         return 0
-    if choice.j != 1:
-        raise AssertionError("interior close off the oldest ray expected")
-    return choice.k - 1 - (choice.k > choice.cycle_k)
+    return k - 1 - (k > cycle_k)
 
 
 def _cycle_rays(letter: str, h: int, color: int, state, last: bool) -> tuple[int, int]:

@@ -55,10 +55,12 @@ class WeightRecovery(NamedTuple):
 
 
 def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
-    """Peel level and fall weights out of the counts c_0..c_n."""
+    """Peel level and fall weights out of the counts c_0..c_n, ints or Fractions."""
     from fractions import Fraction  # not at start-up: with decimal and numbers, 4 ms a process
     if not terms:
         raise ValueError("need at least the constant term")
+    if not set(map(type, terms)) <= {int, Fraction}:  # a float, bool or str is no exact count
+        raise ValueError(f"terms must be ints or Fractions: {list(terms)!r}")
     cur = [Fraction(t) for t in terms]
     if cur[0] != 1:
         raise ValueError(f"the constant term must be 1, got {cur[0]}")

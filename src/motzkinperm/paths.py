@@ -26,14 +26,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._kernels import check_size
-from .perms import (
-    DiagonalType,
-    Permutation,
-    _DiagramState,
-    _Record,
-    _require_permutation,
-    diagram_walk,
-)
+from .perms import Permutation, _DiagramState, _Record, _require_permutation, inverse
 
 
 # The longest path :func:`enumerate_paths` walks: the standard family's 362,880
@@ -47,10 +40,11 @@ class PathFamily(NamedTuple):
 
     ``down_colors(h)``/``level_colors(h)`` count the colors of a D step from
     height h and of an L step at h; an ``elevated`` path is nonempty and its
-    interior stays above 0.  ``color(typ, h, choice, last)`` colors a closing
-    entry of :func:`motzkinperm.perms.diagram_walk`; ``rays(letter, h, color,
-    state, last)`` inverts it: the (j, k) of the rays an L or D step closes in
-    the diagram ``state``, 0 for none.  Both are None for a family with no class.
+    interior stays above 0.  ``color(letter, h, j, k, state, last)`` colors an
+    L or D step that closes vertical ray j and horizontal ray k, 0 for none, in
+    the diagram ``state`` before the step; ``rays(letter, h, color, state,
+    last)`` inverts it, (0, 0) for a fixed point.  Both are None for a family
+    with no class.
     """
 
     down_colors: Callable[[int], int]
@@ -67,12 +61,10 @@ def standard_level_colors(h: int) -> int:
     return 2 * h + 1
 
 
-def _standard_color(typ: DiagonalType, h: int, choice, last: bool) -> int:
-    if typ is DiagonalType.UPPER_BOUNCE:
-        return choice.j
-    if typ is DiagonalType.LOWER_BOUNCE:
-        return h + choice.k
-    return (choice.j - 1) * h + (choice.k - 1)
+def _standard_color(letter: str, h: int, j: int, k: int, state, last: bool) -> int:
+    if letter == "D":
+        return (j - 1) * h + (k - 1)
+    return j or h + k
 
 
 def _standard_rays(letter: str, h: int, color: int, state, last: bool) -> tuple[int, int]:
@@ -204,13 +196,25 @@ def check_family(path: ColoredMotzkinPath, family: PathFamily = STANDARD) -> Non
 
 
 def encode(values: Sequence[int], family: PathFamily) -> ColoredMotzkinPath:
-    """The path of ``family`` for ``values``, a permutation of its class (not checked):
-    one step per entry of the diagram walk, colored by ``family.color``."""
+    """The path of ``family`` for ``values``, a permutation of its class (not checked).
+
+    Entry i closes the vertical ray from column pi^-1(i) and the horizontal ray
+    at row pi(i) that lie below i: closing both is D, opening both is U, else L.
+    """
     n = len(values)
-    return ColoredMotzkinPath(tuple(
-        ColoredStep(typ.letter, h, 0 if choice is None else family.color(typ, h, choice, i == n))
-        for i, (typ, h, choice) in enumerate(diagram_walk(values), start=1)
-    ))
+    state = _DiagramState()
+    steps = []
+    h = 0
+    for i, (v, iv) in enumerate(zip(values, inverse(values)), start=1):
+        j = state.rank_v(iv) if iv < i else 0
+        k = state.rank_h(v) if v < i else 0
+        letter = "D" if j and k else "U" if v > i < iv else "L"
+        h += letter == "U"
+        c = family.color(letter, h, j, k, state, i == n) if j or k else 0
+        state.step(letter, j, k, i)
+        steps.append(ColoredStep(letter, h, c))
+        h -= letter == "D"
+    return ColoredMotzkinPath(tuple(steps))
 
 
 def decode(path: ColoredMotzkinPath, family: PathFamily) -> Permutation:
@@ -223,16 +227,11 @@ def decode(path: ColoredMotzkinPath, family: PathFamily) -> Permutation:
     vals = [0] * n
     state = _DiagramState()
     for i, (letter, h, color) in enumerate(path.steps, start=1):
-        if letter == "U":
-            state.open_rays(i)
-            continue
-        j, k = family.rays(letter, h, color, state, i == n)
-        if not j:
-            vals[i - 1] = state.lower_bounce(k, i) if k else i
-        elif not k:
-            vals[state.upper_bounce(j, i) - 1] = i
-        else:
-            col, vals[i - 1] = state.close(j, k)
+        j, k = (0, 0) if letter == "U" else family.rays(letter, h, color, state, i == n)
+        col, row = state.step(letter, j, k, i)
+        if row:
+            vals[i - 1] = row
+        if col:
             vals[col - 1] = i
     return Permutation(tuple(vals))
 

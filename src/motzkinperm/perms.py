@@ -11,15 +11,18 @@ five types by comparing ``pi(i)`` and ``pi^{-1}(i)`` against ``i``:
 * ``UPPER_BOUNCE``   pi(i) > i and pi^{-1}(i) < i
 * ``LOWER_BOUNCE``   pi(i) < i and pi^{-1}(i) > i
 
-Reading OPEN as U, CLOSE as D, and the rest as L yields a Motzkin word; the
-ray choices :func:`diagram_walk` records along the way refine the word to a
-colored path (see :mod:`motzkinperm.paths`).
+Reading OPEN as U, CLOSE as D, and the rest as L yields a Motzkin word.
+Replaying the diagram along the diagonal, one step per entry, tracks which
+open rays each entry closes; :func:`motzkinperm.paths.encode` and
+:func:`motzkinperm.paths.decode` run that replay in both directions to refine
+the word to a colored path.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple, Sequence
+from bisect import bisect_left
+from typing import NamedTuple, Sequence
 
 from . import _kernels
 
@@ -70,11 +73,7 @@ class DiagonalType(enum.Enum):
     @property
     def letter(self) -> str:
         """Motzkin letter of the class: U for OPEN, D for CLOSE, else L."""
-        if self is DiagonalType.OPEN:
-            return "U"
-        if self is DiagonalType.CLOSE:
-            return "D"
-        return "L"
+        return "U" if self is DiagonalType.OPEN else "D" if self is DiagonalType.CLOSE else "L"
 
 
 def classify_entries(values: Sequence[int]) -> tuple[tuple[DiagonalType, int], ...]:
@@ -84,23 +83,18 @@ def classify_entries(values: Sequence[int]) -> tuple[tuple[DiagonalType, int], .
     Motzkin step: an OPEN counts itself, a CLOSE is measured before the fall,
     and level types see the current number of open ray pairs.
     """
-    inv = inverse(values)
     out = []
     h = 0
-    for i, v in enumerate(values, start=1):
-        iv = inv[i - 1]
+    for i, (v, iv) in enumerate(zip(values, inverse(values)), start=1):
         if v == i:
-            out.append((DiagonalType.FIXED, h))
-        elif v > i and iv > i:
-            h += 1
-            out.append((DiagonalType.OPEN, h))
-        elif v < i and iv < i:
-            out.append((DiagonalType.CLOSE, h))
-            h -= 1
+            typ = DiagonalType.FIXED
         elif v > i:
-            out.append((DiagonalType.UPPER_BOUNCE, h))
+            typ = DiagonalType.OPEN if iv > i else DiagonalType.UPPER_BOUNCE
         else:
-            out.append((DiagonalType.LOWER_BOUNCE, h))
+            typ = DiagonalType.LOWER_BOUNCE if iv > i else DiagonalType.CLOSE
+        h += typ is DiagonalType.OPEN
+        out.append((typ, h))
+        h -= typ is DiagonalType.CLOSE
     return tuple(out)
 
 
@@ -161,28 +155,14 @@ class DiagonalSequence(_Record):
         return len(self.entries)
 
 
-class RayChoice(NamedTuple):
-    """Which open rays a diagonal entry closed.
-
-    ``j`` indexes open vertical rays left to right, ``k`` open horizontal rays
-    bottom to top, both 1-based at the moment the entry is placed.  For a
-    CLOSE, ``cycle_k`` is the k that completes a cycle given the closed
-    vertical ray, so the close completes one exactly when ``k == cycle_k``.
-    Fields that do not apply are None.
-    """
-
-    j: int | None = None
-    k: int | None = None
-    cycle_k: int | None = None
-
-
 class _DiagramState:
     """Open-ray bookkeeping shared by the encoding and decoding replays.
 
     Vertical rays are identified by the column that created them, horizontal
     rays by the row.  Each open vertical ray is chained to exactly one open
     horizontal ray (the partial cycle through it); closing a chained pair
-    completes a cycle.
+    completes a cycle.  Every ray opens at the current entry, so both lists
+    stay sorted and a ray's rank is a bisection.
     """
 
     __slots__ = ("verticals", "horizontals", "match_v", "match_h")
@@ -193,77 +173,52 @@ class _DiagramState:
         self.match_v: dict[int, int] = {}
         self.match_h: dict[int, int] = {}
 
-    def open_rays(self, i: int) -> None:
-        self.verticals.append(i)
-        self.horizontals.append(i)
-        self.match_v[i] = i
-        self.match_h[i] = i
+    def rank_v(self, col: int) -> int:
+        """The j of the open vertical ray from column ``col``, counted left to right."""
+        return bisect_left(self.verticals, col) + 1
 
-    def upper_bounce(self, j: int, i: int) -> int:
-        """Close the j-th vertical ray, open a new one at column i."""
-        col = self.verticals.pop(j - 1)
-        row = self.match_v.pop(col)
-        self.verticals.append(i)
-        self.match_v[i] = row
-        self.match_h[row] = i
-        return col
-
-    def lower_bounce(self, k: int, i: int) -> int:
-        """Close the k-th horizontal ray, open a new one at row i."""
-        row = self.horizontals.pop(k - 1)
-        col = self.match_h.pop(row)
-        self.horizontals.append(i)
-        self.match_h[i] = col
-        self.match_v[col] = i
-        return row
+    def rank_h(self, row: int) -> int:
+        """The k of the open horizontal ray at row ``row``, counted bottom to top."""
+        return bisect_left(self.horizontals, row) + 1
 
     def cycle_k(self, j: int) -> int:
         """The k whose closing alongside vertical ray j completes a cycle."""
-        row = self.match_v[self.verticals[j - 1]]
-        return self.horizontals.index(row) + 1
+        return self.rank_h(self.match_v[self.verticals[j - 1]])
 
-    def close(self, j: int, k: int) -> tuple[int, int]:
-        """Close vertical j and horizontal k; rewire chains if they differ."""
-        col = self.verticals.pop(j - 1)
-        row = self.horizontals.pop(k - 1)
-        partner_row = self.match_v.pop(col)
-        partner_col = self.match_h.pop(row)
-        if partner_row != row:
-            self.match_v[partner_col] = partner_row
-            self.match_h[partner_row] = partner_col
-        return col, row
+    def step(self, letter: str, j: int, k: int, i: int) -> tuple[int, int]:
+        """Place entry i; ``(col, row)`` of the rays it closes, 0 for a ray not closed.
 
-
-def diagram_walk(
-    values: Sequence[int],
-) -> Iterator[tuple[DiagonalType, int, RayChoice | None]]:
-    """Replay the diagram along the diagonal: ``(type, height, choice)`` per entry.
-
-    Types and heights are those of :func:`classify_entries`.  ``choice`` is
-    None for FIXED and OPEN (no choice) and a :class:`RayChoice` for the
-    closing types.  The replay is lazy, so a caller can stop at the first
-    entry it rejects.  ``values`` must be a permutation; it is not checked.
-    """
-    inv = inverse(values)
-    state = _DiagramState()
-    for i, (typ, h) in enumerate(classify_entries(values), start=1):
-        choice = None
-        if typ is DiagonalType.OPEN:
-            state.open_rays(i)
-        elif typ is DiagonalType.UPPER_BOUNCE:  # the vertical ray from column pi^-1(i)
-            j = state.verticals.index(inv[i - 1]) + 1
-            state.upper_bounce(j, i)
-            choice = RayChoice(j=j)
-        elif typ is DiagonalType.LOWER_BOUNCE:  # the horizontal ray from row pi(i)
-            k = state.horizontals.index(values[i - 1]) + 1
-            state.lower_bounce(k, i)
-            choice = RayChoice(k=k)
-        elif typ is DiagonalType.CLOSE:
-            j = state.verticals.index(inv[i - 1]) + 1
-            k = state.horizontals.index(values[i - 1]) + 1
-            choice = RayChoice(j=j, k=k, cycle_k=state.cycle_k(j))
-            state.close(j, k)
-        yield typ, h, choice
+        U opens a chained pair of rays at i.  L closes vertical ray j or
+        horizontal ray k and opens its successor at i, or is a fixed point,
+        ``(i, i)``, when j = k = 0.  D closes both and rewires the chains.
+        """
+        if letter == "U":
+            self.verticals.append(i)
+            self.horizontals.append(i)
+            self.match_v[i] = self.match_h[i] = i
+            return 0, 0
+        if letter == "D":
+            col = self.verticals.pop(j - 1)
+            row = self.horizontals.pop(k - 1)
+            partner_row = self.match_v.pop(col)
+            partner_col = self.match_h.pop(row)
+            if partner_row != row:
+                self.match_v[partner_col] = partner_row
+                self.match_h[partner_row] = partner_col
+            return col, row
+        if j:
+            col = self.verticals.pop(j - 1)
+            self.verticals.append(i)
+            row = self.match_v[i] = self.match_v.pop(col)
+            self.match_h[row] = i
+            return col, 0
+        if k:
+            row = self.horizontals.pop(k - 1)
+            self.horizontals.append(i)
+            col = self.match_h[i] = self.match_h.pop(row)
+            self.match_v[col] = i
+            return 0, row
+        return i, i
 
 
 class StatVector(NamedTuple):
@@ -409,6 +364,9 @@ class Permutation(_Record):
         return " ".join(str(v) for v in self.values)
 
     def __call__(self, i: int) -> int:
+        """pi(i); ValueError unless i is an int (not a bool) in 1..n."""
+        if type(i) is not int or not 0 < i <= len(self.values):
+            raise ValueError(f"not a point of 1..{len(self.values)}: {i!r}")
         return self.values[i - 1]
 
     def inverse(self) -> "Permutation":

@@ -11,7 +11,7 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 from motzkinperm._kernels import Prefix
-from motzkinperm.perms import DiagonalType, cycle_list, diagram_walk
+from motzkinperm.perms import DiagonalType, _DiagramState, classify_entries, cycle_list, inverse
 from motzkinperm.polys import VARS, MultiPoly
 
 
@@ -34,6 +34,27 @@ def left_to_right_minima(values: tuple[int, ...]) -> int:
     return count
 
 
+def diagram_replay(values: tuple[int, ...]) -> Iterator[tuple[DiagonalType, int, int, int, int]]:
+    """The diagram replayed along the diagonal, ranking rays with ``list.index``.
+
+    Yields ``(type, height, j, k, cycle_k)`` per entry: j ranks the open vertical
+    ray the entry closes left to right and k the horizontal one bottom to top, 0
+    for none; for a CLOSE, cycle_k is the k that completes a cycle given j (0
+    otherwise).  The state advances through ``_DiagramState.step``.
+    """
+    inv = inverse(values)
+    state = _DiagramState()
+    for i, (typ, h) in enumerate(classify_entries(values), start=1):
+        v, iv = values[i - 1], inv[i - 1]
+        j = state.verticals.index(iv) + 1 if iv < i else 0
+        k = state.horizontals.index(v) + 1 if v < i else 0
+        cycle_k = 0
+        if j and k:
+            cycle_k = state.horizontals.index(state.match_v[state.verticals[j - 1]]) + 1
+        state.step(typ.letter, j, k, i)
+        yield typ, h, j, k, cycle_k
+
+
 def diagram_noncrossing(values: tuple[int, ...]) -> bool:
     """The paper's noncrossing discipline on the diagram replay.
 
@@ -41,12 +62,12 @@ def diagram_noncrossing(values: tuple[int, ...]) -> bool:
     closes the two innermost rays and those rays form a chained pair, and no
     UPPER_BOUNCE occurs.
     """
-    for typ, h, choice in diagram_walk(values):
+    for typ, h, j, k, cycle_k in diagram_replay(values):
         if typ is DiagonalType.UPPER_BOUNCE:
             return False
-        if typ is DiagonalType.LOWER_BOUNCE and choice.k != h:
+        if typ is DiagonalType.LOWER_BOUNCE and k != h:
             return False
-        if typ is DiagonalType.CLOSE and not choice.j == choice.k == choice.cycle_k == h:
+        if typ is DiagonalType.CLOSE and not j == k == cycle_k == h:
             return False
     return True
 

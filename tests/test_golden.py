@@ -65,6 +65,7 @@ def _cases() -> dict[str, list[str]]:
     ]
     big = " ".join(map(str, random.Random(300).sample(range(1, 301), 300)))
     cases["map"] = ["map", "--perm", "3 1 4 2 5", "--json"]
+    cases["map-300"] = ["map", "--perm", big, "--json"]
     cases["unmap"] = ["unmap", "--path", "U L1 U D1 L0 D0", "--json"]
     cases["stats-small"] = ["stats", "--perm", "3 1 4 2 5", "--json"]
     cases["stats-300"] = ["stats", "--perm", big, "--json"]

@@ -108,6 +108,12 @@ def test_rejects_bad_heads():
         invert_jfraction([2, 1, 1])
 
 
+@pytest.mark.parametrize("terms", [[1, 0.1], [1.0], [True], [1, True], [1, "1/3"]], ids=repr)
+def test_rejects_a_term_that_is_not_an_int_or_a_fraction(terms):
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        invert_jfraction(terms)
+
+
 def test_fractional_input_is_supported():
     rec = invert_jfraction([1, Fraction(1, 2), Fraction(1, 2), Fraction(5, 8)])
     assert rec.status is RecoveryStatus.COMPLETE

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzkinperm.bell import cycle_to_partition, cycle_to_path, weak_exc_partition
 from motzkinperm.paths import perm_to_path
@@ -12,10 +14,10 @@ from motzkinperm.perms import (
     DiagonalType,
     Permutation,
     StatVector,
+    _DiagramState,
     classify_entries,
     count_consecutive_123,
     cycle_list,
-    diagram_walk,
     foata,
     inverse,
     random_permutation,
@@ -30,6 +32,7 @@ from reference import (
     avoids_classical,
     contains_classical,
     cyclic_permutations,
+    diagram_replay,
     left_to_right_minima,
 )
 
@@ -107,20 +110,41 @@ def test_ray_choices_bounds_and_cycle_count():
     for n in range(7):
         for perm in all_perms(n):
             completing = 0
-            for typ, height, choice in diagram_walk(perm):
+            for typ, height, j, k, cycle_k in diagram_replay(perm):
                 if typ in (DiagonalType.FIXED, DiagonalType.OPEN):
-                    assert choice is None
+                    assert j == k == 0
                 elif typ is DiagonalType.UPPER_BOUNCE:
-                    assert choice.k is None and 1 <= choice.j <= height
+                    assert k == 0 and 1 <= j <= height
                 elif typ is DiagonalType.LOWER_BOUNCE:
-                    assert choice.j is None and 1 <= choice.k <= height
+                    assert j == 0 and 1 <= k <= height
                 else:
-                    assert 1 <= choice.j <= height
-                    assert 1 <= choice.k <= height
-                    assert 1 <= choice.cycle_k <= height
-                    completing += choice.k == choice.cycle_k
+                    assert 1 <= j <= height
+                    assert 1 <= k <= height
+                    assert 1 <= cycle_k <= height
+                    completing += k == cycle_k
             s = stats(perm)
             assert completing + s.fixed_points == s.cycles
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_bisected_ranks_match_list_index_and_the_path_follows_the_classification(values):
+    values = tuple(values)
+    entries = classify_entries(values)
+    assert [step[:2] for step in perm_to_path(values).steps] == [(t.letter, h) for t, h in entries]
+    inv = inverse(values)
+    state = _DiagramState()
+    for i, (typ, _) in enumerate(entries, start=1):
+        verticals, horizontals = state.verticals, state.horizontals
+        for j, col in enumerate(verticals, start=1):
+            assert state.rank_v(col) == verticals.index(col) + 1 == j
+            assert state.cycle_k(j) == horizontals.index(state.match_v[col]) + 1
+        for row in horizontals:
+            assert state.rank_h(row) == horizontals.index(row) + 1
+        j = verticals.index(inv[i - 1]) + 1 if inv[i - 1] < i else 0
+        k = horizontals.index(values[i - 1]) + 1 if values[i - 1] < i else 0
+        state.step(typ.letter, j, k, i)
+    assert state.verticals == state.horizontals == []
 
 
 def test_stat_vector_exponent_order():
@@ -235,6 +259,12 @@ def test_permutation_class_round_trips():
     assert p.to_text() == "3 1 2"
     assert p(1) == 3 and p(3) == 2
     assert p.inverse().values == (2, 3, 1)
+
+
+@pytest.mark.parametrize("i", [0, -1, 4, True, 1.0, "1"], ids=repr)
+def test_permutation_call_refuses_a_point_outside_1_to_n(i):
+    with pytest.raises(ValueError, match="not a point of 1..3"):
+        Permutation((3, 1, 2))(i)
 
 
 def test_permutation_rejects_bad_input():

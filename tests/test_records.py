@@ -1,6 +1,6 @@
 """The package's value records: equality, hashing, repr, immutability, pickling.
 
-Nine records are ``typing.NamedTuple``s; the four that wrap one tuple field
+Eight records are ``typing.NamedTuple``s; the four that wrap one tuple field
 (three of them checking its contents when built) share the slotted base
 ``perms._Record``.
 """
@@ -30,7 +30,6 @@ from motzkinperm.perms import (
     DiagonalSequence,
     DiagonalType,
     Permutation,
-    RayChoice,
     StatVector,
     _Record,
 )
@@ -43,7 +42,6 @@ from motzkinperm.subsets import ClassSpec, avoids_321
 # has.  Callable fields are module-level functions, so the records pickle.
 RECORDS = [
     (partial(StatVector, 2, 4, 0, 5, 17), partial(StatVector, 2, 4, 0, 5, 16), True),
-    (partial(RayChoice, j=1), partial(RayChoice, j=1, k=2, cycle_k=1), True),
     (partial(ColoredStep, "L", 1, 2), partial(ColoredStep, "L", 1, 1), True),
     (
         partial(CensusReport, "Avoid321", 3, "", {"BruteForce": [1, 1, 2, 5]}, {}),
@@ -106,7 +104,7 @@ def test_the_table_holds_every_record_of_the_package():
         and (issubclass(obj, _Record) or (issubclass(obj, tuple) and hasattr(obj, "_fields")))
     }
     assert records == {make().__class__ for make, _, _ in RECORDS}
-    assert len(records) == 13
+    assert len(records) == 12
 
 
 @pytest.mark.parametrize("make, make_changed, hashable", RECORDS, ids=map(_name, RECORDS))
