@@ -196,21 +196,12 @@ def shorten_path(path: ColoredMotzkinPath) -> ColoredMotzkinPath:
     """
     check_family(path, CYCLE_PATHS)
     steps = path.steps
-    if len(steps) == 1:
-        return ColoredMotzkinPath(())
-    marked = [
-        i
-        for i, st in enumerate(steps)
-        if st.letter == "L" and st.color == st.height
-    ]
+    pairs = [(st.letter, st.color) for st in steps[:-1]]
+    marked = [i for i, st in enumerate(steps[:-1]) if st.letter == "L" and st.color == st.height]
     if marked:
-        cut = marked[-1]
-        pairs = [(st.letter, st.color) for st in steps[:cut]]
-        pairs.append(("D", steps[cut].height - 1))
-        pairs.extend((st.letter, st.color) for st in steps[cut + 1 : -1])
-    else:
-        pairs = [("L", 0)]
-        pairs.extend((st.letter, st.color) for st in steps[1:-1])
+        pairs[marked[-1]] = ("D", steps[marked[-1]].height - 1)
+    elif pairs:
+        pairs[0] = ("L", 0)
     return ColoredMotzkinPath.from_pairs(pairs)
 
 
@@ -227,20 +218,14 @@ def lengthen_path(path: ColoredMotzkinPath) -> ColoredMotzkinPath:
     steps = path.steps
     if not steps:
         return ColoredMotzkinPath.from_pairs([("L", 0)])
+    pairs = [(st.letter, st.color) for st in steps] + [("D", 0)]
     if steps[0].letter == "L":
-        pairs = [("U", 0)]
-        pairs.extend((st.letter, st.color) for st in steps[1:])
-        pairs.append(("D", 0))
+        pairs[0] = ("U", 0)
     else:
         cut = next(
-            i
-            for i, st in enumerate(steps)
-            if st.letter == "D" and st.color == st.height - 1
+            i for i, st in enumerate(steps) if st.letter == "D" and st.color == st.height - 1
         )
-        pairs = [(st.letter, st.color) for st in steps[:cut]]
-        pairs.append(("L", steps[cut].height))
-        pairs.extend((st.letter, st.color) for st in steps[cut + 1 :])
-        pairs.append(("D", 0))
+        pairs[cut] = ("L", steps[cut].height)
     return ColoredMotzkinPath.from_pairs(pairs)
 
 

@@ -39,7 +39,8 @@ _SOURCE_TOKENS = {"bf": SOURCE_BRUTE, "cf": SOURCE_CFRAC, "closed": SOURCE_CLOSE
 
 
 class CensusReport(NamedTuple):
-    """Per-size census values from several sources, with agreement flags."""
+    """Per-size census values from several sources, with agreement flags;
+    ``values`` lists its sources in brute-force, fraction, closed-form order."""
 
     subset: str
     n_max: int
@@ -128,12 +129,12 @@ def _check_path_bijection(max_n: int, rng: random.Random) -> Iterator[str]:
 
 
 def _check_subset_censuses(max_n: int, rng: random.Random) -> Iterator[str]:
-    """Every class's census with all its markers against its continued
-    fraction, and its counts against its closed form, each up to its own cap;
-    All once with t and once with q, which no scheme carries together."""
+    """Every class's census with each of its marker sets against its
+    continued fraction, and its counts against its closed form, each up to
+    its own cap: All twice, once with t and once with q."""
     for subset in SubsetId:
         top = min(max_n, subset.spec.brute_cap)
-        for marks in ("xvwt", "xvwq") if subset is SubsetId.ALL else (subset.spec.marks,):
+        for marks in subset.spec.marks:
             counted = distributions(top, subset, marks)
             series = scheme_for(subset, marks).series(top)
             for n in range(top + 1):

@@ -29,13 +29,7 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__, bell, mobius
-from .census import (
-    SOURCE_BRUTE,
-    SOURCE_CFRAC,
-    SOURCE_CLOSED,
-    census as build_census,
-    check_all,
-)
+from .census import census as build_census, check_all
 from .invert import classify_weights, invert_jfraction, regenerate
 from .paths import ColoredMotzkinPath, path_to_perm, perm_to_path
 from .perms import Permutation
@@ -174,7 +168,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
     report = build_census(args.subset, args.n_max, args.marks, sources)
-    order = [s for s in (SOURCE_BRUTE, SOURCE_CFRAC, SOURCE_CLOSED) if s in report.values]
     if args.json:
         _print_json(
             {
@@ -192,13 +185,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
     elif args.csv:
         import csv  # not at start-up: 1 ms a process
         writer = csv.writer(sys.stdout)
-        writer.writerow(["n", *order])
+        writer.writerow(["n", *report.values])
         for n in range(report.n_max + 1):
-            writer.writerow([n, *(str(report.values[src][n]) for src in order)])
+            writer.writerow([n, *(str(vals[n]) for vals in report.values.values())])
     else:
         print(f"subset={report.subset} n_max={report.n_max} marks={report.marks or '-'}")
         for n in range(report.n_max + 1):
-            cells = "  ".join(f"{src}={report.values[src][n]}" for src in order)
+            cells = "  ".join(f"{src}={vals[n]}" for src, vals in report.values.items())
             print(f"n={n}  {cells}")
         for pair, ok in report.agreements.items():
             print(f"agreement {pair}: {'ok' if ok else 'MISMATCH'}")

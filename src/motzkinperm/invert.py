@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .cfrac import jfraction_series
 
@@ -54,9 +54,11 @@ class WeightRecovery(NamedTuple):
     n_input: int
 
 
-def invert_jfraction(terms: Sequence[int | Fraction]) -> WeightRecovery:
-    """Peel level and fall weights out of the counts c_0..c_n, ints or Fractions."""
+def invert_jfraction(terms: Iterable[int | Fraction]) -> WeightRecovery:
+    """Peel level and fall weights out of the counts c_0..c_n, ints or Fractions,
+    in a sequence or an iterator."""
     from fractions import Fraction  # not at start-up: with decimal and numbers, 4 ms a process
+    terms = list(terms)  # an iterator is read once
     if not terms:
         raise ValueError("need at least the constant term")
     if not set(map(type, terms)) <= {int, Fraction}:  # a float, bool or str is no exact count

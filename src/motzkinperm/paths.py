@@ -120,7 +120,7 @@ class ColoredMotzkinPath(_Record):
         for tok in text.split():
             if tok == "U":
                 pairs.append(("U", 0))
-            elif tok[:1] in ("L", "D") and tok[1:].isdigit():
+            elif tok[:1] in ("L", "D") and tok[1:].isdecimal():
                 pairs.append((tok[0], int(tok[1:])))
             else:
                 raise ValueError(f"bad path token {tok!r}")
@@ -260,23 +260,17 @@ def enumerate_paths(n: int, family: PathFamily = STANDARD) -> Iterator[ColoredMo
             if h == 0:
                 yield ColoredMotzkinPath.from_pairs(pairs)
             return
-        remaining = n - pos
-        min_h = 1 if (family.elevated and pos + 1 < n) else 0
-        # letters in lexicographic order: D < L < U
-        if h >= 1 and h - 1 >= min_h and h - 1 <= remaining - 1:
-            for c in range(family.down_colors(h)):
-                pairs.append(("D", c))
-                yield from walk(pos + 1, h - 1)
-                pairs.pop()
-        if h >= min_h and h <= remaining - 1:
-            for c in range(family.level_colors(h)):
-                pairs.append(("L", c))
-                yield from walk(pos + 1, h)
-                pairs.pop()
-        if h + 1 >= min_h and h + 1 <= remaining - 1:
-            pairs.append(("U", 0))
-            yield from walk(pos + 1, h + 1)
-            pairs.pop()
+        floor = 1 if family.elevated and pos + 1 < n else 0
+        # (letter, height after, colors) in lexicographic order: D < L < U
+        down = family.down_colors(h) if h else 0
+        for letter, after, colors in (
+            ("D", h - 1, down), ("L", h, family.level_colors(h)), ("U", h + 1, 1)
+        ):
+            if floor <= after <= n - pos - 1:
+                for c in range(colors):
+                    pairs.append((letter, c))
+                    yield from walk(pos + 1, after)
+                    pairs.pop()
 
     check_size(n, "path length", PATH_CAP)
     if n or not family.elevated:

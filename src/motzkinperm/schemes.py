@@ -17,16 +17,13 @@ from typing import Iterable
 
 from .cfrac import WeightScheme
 from .polys import VARS, MultiPoly, check_marks
-from .subsets import ClassSpec, SubsetId
+from .subsets import CLASSES, ClassSpec, SubsetId
 
 # Schemes that describe a statistic over all permutations rather than a class.
 EXTRA_SCHEMES: dict[str, ClassSpec] = {
-    # w marks rising runs of three adjacent entries
-    "Consecutive123": ClassSpec(
-        (), "w",
-        down=lambda h, x, v, w, t, q: h * h,
-        level=lambda h, x, v, w, t, q: (1, h * w, h),
-    ),
+    # All's weights with w alone: by the Foata transform, rising runs of three
+    # adjacent entries are equidistributed with double excedances
+    "Consecutive123": CLASSES[SubsetId.ALL]._replace(marks=("w",), closed=None),
 }
 
 
@@ -39,40 +36,28 @@ def scheme_for(
 ) -> WeightScheme:
     """The weight scheme for a permutation class, keeping the given markers.
 
-    ``marks`` defaults to everything the class supports, except for the full
-    symmetric group where the default is x, v, w, t (the cycle and inversion
-    markers cannot be carried simultaneously there).
+    ``marks`` must lie within one of the class's marker sets,
+    ``ClassSpec.marks``, and defaults to the first.  Only All has two: its D
+    weight counts cycles at q = 1 and inversions at t = 1, so no scheme
+    carries t and q together.
     """
     name = subset.value if isinstance(subset, SubsetId) else str(subset)
-    subset_id = None
     if name in EXTRA_SCHEMES:
         spec = EXTRA_SCHEMES[name]
     elif name in scheme_names():
-        subset_id = SubsetId(name)
-        spec = subset_id.spec
+        spec = SubsetId(name).spec
     else:
         raise ValueError(f"unknown scheme {name!r}; choose from {', '.join(scheme_names())}")
-    supported = frozenset(spec.marks)
-
-    if marks is None:
-        chosen = supported
-        if subset_id is SubsetId.ALL:
-            chosen = frozenset("xvwt")
-    else:
-        chosen = check_marks(marks)
-        unsupported = sorted(chosen - supported)
-        if unsupported:
-            raise ValueError(
-                f"class {name} has no weight scheme carrying markers "
-                f"{unsupported}; it supports {sorted(supported)}"
-            )
-    if subset_id is SubsetId.ALL and "t" in chosen and "q" in chosen:
+    sets = [frozenset(m) for m in spec.marks]
+    chosen = sets[0] if marks is None else check_marks(marks)
+    if not any(chosen <= s for s in sets):
         raise ValueError(
-            "the full symmetric group cannot carry the cycle marker t and "
-            "the inversion marker q in one scheme; drop one of them"
+            f"class {name} has no weight scheme carrying markers "
+            f"{sorted(chosen - frozenset.intersection(*sets))}; it supports "
+            + " or ".join(str(sorted(s)) for s in sets)
         )
 
-    xvwtq = tuple(MultiPoly.var(m) if m in chosen else MultiPoly.one() for m in VARS)
+    xvwtq = tuple(MultiPoly.var(m) if m in chosen else 1 for m in VARS)
     return WeightScheme(
         name,
         down=lambda h: MultiPoly.zero() + spec.down(h, *xvwtq),  # a weight may be an int

@@ -188,20 +188,22 @@ class ClassSpec(NamedTuple):
     ``brute_cap`` is the largest size the oracle tallies: where a pass with
     all five statistics took about 10 s, and none past ``cfrac.MAX_ORDER``
     (24), which a census compares with; beside it are the CPU time and peak
-    memory of ``oracle.distributions(brute_cap, subset, marks)`` there.
+    memory of ``oracle.distributions`` there with every marker in ``marks``.
     ``walk_cap`` (9 without a rule) is the largest size ``oracle.members``
     lists, and beside it its CPU time there (pure Python 3.11.7 on a 2-core
     x86-64 virtual machine).
-    ``down(h, x, v, w, t, q)`` is the total weight of a down step falling
-    from height h >= 1, and ``level(h, x, v, w, t, q)`` returns the level
-    weights at height h split as (fixed, upper bounce, lower bounce); markers
-    outside ``marks`` are passed as 1.  Elevated classes count paths whose
-    interior stays above height 0: the single-cycle classes, with no member
-    of size 0.  ``closed(n)`` gives the counts for sizes 0..n, or None.
+    ``marks`` holds the marker sets the class's schemes carry, the default
+    first; a scheme carries any subset of one of them.  ``down(h, x, v, w, t,
+    q)`` is the total weight of a down step falling from height h >= 1, and
+    ``level(h, x, v, w, t, q)`` returns the level weights at height h split
+    as (fixed, upper bounce, lower bounce); unmarked markers are passed as 1.
+    Elevated classes count paths whose interior stays above height 0: the
+    single-cycle classes, with no member of size 0.  ``closed(n)`` gives the
+    counts for sizes 0..n, or None.
     """
 
     requires: tuple[Callable[..., bool], ...]
-    marks: str
+    marks: tuple[str, ...]
     down: Callable[..., object]
     level: Callable[..., tuple]
     elevated: bool = False
@@ -226,10 +228,10 @@ class ClassSpec(NamedTuple):
 
 
 CLASSES: dict[SubsetId, ClassSpec] = {
-    # t and q are never marked together here (see schemes.scheme_for): at
-    # q = 1 the weights count cycles, at t = 1 they count inversions.
+    # t and q are never marked together here: at q = 1 the D weight counts
+    # cycles, at t = 1 it counts inversions.
     SubsetId.ALL: ClassSpec(
-        (), "xvwtq",
+        (), ("xvwt", "xvwq"),
         down=lambda h, x, v, w, t, q: (
             v * q ** (2 * h - 1) * (b := _qbracket(q, h)) * (b + t - 1)
         ),
@@ -242,7 +244,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=14,  # 6.0 s, 94 MB
     ),
     SubsetId.CYCLIC: ClassSpec(
-        (is_cyclic,), "xvw",
+        (is_cyclic,), ("xvw",),
         down=lambda h, x, v, w, t, q: v if h == 1 else h * (h - 1) * v,
         level=lambda h, x, v, w, t, q: (x if h == 0 else 0, h * v * w, h),
         elevated=True,
@@ -250,7 +252,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=14, walk_cap=10,  # 2.3 s, 47 MB; the walk 0.72 s
     ),
     SubsetId.AVOID321: ClassSpec(
-        (avoids_321,), "xvwq",
+        (avoids_321,), ("xvwq",),
         down=lambda h, x, v, w, t, q: v * q ** (2 * h - 1),
         level=lambda h, x, v, w, t, q: (
             (x, 0, 0) if h == 0 else (0, v * w * q**h, q**h)
@@ -260,7 +262,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
     ),
     SubsetId.UNIMODAL_NONCROSSING_NO_NESTED_FP: ClassSpec(
         (has_unimodal_noncrossing_cycles, has_no_nested_fixed_point),
-        "xvwtq",
+        ("xvwtq",),
         down=lambda h, x, v, w, t, q: v * t * q ** (4 * h - 3),
         level=lambda h, x, v, w, t, q: (
             (x * t, 0, 0) if h == 0
@@ -270,27 +272,27 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=21, walk_cap=11,  # 5.9 s, 118 MB; the walk 0.17 s
     ),
     SubsetId.NONCROSSING: ClassSpec(
-        (has_no_double_excedance, has_unimodal_noncrossing_cycles), "xvw",
+        (has_no_double_excedance, has_unimodal_noncrossing_cycles), ("xvw",),
         down=lambda h, x, v, w, t, q: v,
         level=lambda h, x, v, w, t, q: (x, 0, 0 if h == 0 else 1),
         closed=catalan_numbers,
         brute_cap=23, walk_cap=11,  # 3.8 s, 49 MB; the walk 0.22 s
     ),
     SubsetId.INCREASING_EXC: ClassSpec(
-        (has_increasing_excedance_values,), "xvwt",
+        (has_increasing_excedance_values,), ("xvwt",),
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
         brute_cap=16, walk_cap=10,  # 1.9 s, 38 MB; the walk 0.47 s
     ),
     SubsetId.INCREASING_WEAK_EXC: ClassSpec(
-        (has_increasing_weak_excedance_values,), "xvwt",
+        (has_increasing_weak_excedance_values,), ("xvwt",),
         down=lambda h, x, v, w, t, q: v * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0) if h == 0 else (0, v * w, h),
         closed=bell_numbers,
         brute_cap=16, walk_cap=11,  # 1.9 s, 38 MB; the walk 0.89 s
     ),
     SubsetId.CYCLIC_INCREASING_EXC: ClassSpec(
-        (is_cyclic, has_increasing_excedance_values), "xvw",
+        (is_cyclic, has_increasing_excedance_values), ("xvw",),
         down=lambda h, x, v, w, t, q: v if h == 1 else (h - 1) * v,
         level=lambda h, x, v, w, t, q: (x, 0, 0) if h == 0 else (0, v * w, h),
         elevated=True,
@@ -298,20 +300,20 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=17, walk_cap=12,  # 3.7 s, 57 MB; the walk 2.2 s
     ),
     SubsetId.UNIMODAL_CYCLES: ClassSpec(
-        (has_unimodal_cycles,), "xvwt",
+        (has_unimodal_cycles,), ("xvwt",),
         down=lambda h, x, v, w, t, q: h * v * t,
         level=lambda h, x, v, w, t, q: (x * t, h * v * w, h),
         closed=egf_unimodal_cycle_counts,
         brute_cap=14, walk_cap=10,  # 2.1 s, 49 MB; the walk 1.0 s
     ),
     SubsetId.UNIMODAL_CYCLES_INCREASING_EXC: ClassSpec(
-        (has_unimodal_cycles, has_increasing_excedance_values), "xvwt",
+        (has_unimodal_cycles, has_increasing_excedance_values), ("xvwt",),
         down=lambda h, x, v, w, t, q: v * t,
         level=lambda h, x, v, w, t, q: (x * t, 0 if h == 0 else v * w, h),
         brute_cap=17, walk_cap=11,  # 3.8 s, 60 MB; the walk 2.2 s
     ),
     SubsetId.INCREASING_EXC_AND_DEF: ClassSpec(
-        (has_increasing_excedance_values, has_increasing_deficiency_values), "xvwq",
+        (has_increasing_excedance_values, has_increasing_deficiency_values), ("xvwq",),
         down=lambda h, x, v, w, t, q: v * q ** (2 * h - 1),
         level=lambda h, x, v, w, t, q: (
             (x, 0, 0) if h == 0 else (x * q ** (2 * h), v * w * q**h, q**h)
@@ -320,7 +322,7 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=18, walk_cap=11,  # 9.1 s, 227 MB; the walk 0.80 s
     ),
     SubsetId.UNIMODAL_NONCROSSING: ClassSpec(
-        (has_unimodal_noncrossing_cycles,), "xvwtq",
+        (has_unimodal_noncrossing_cycles,), ("xvwtq",),
         down=lambda h, x, v, w, t, q: v * t * q ** (4 * h - 3),
         level=lambda h, x, v, w, t, q: (
             (x * t, 0, 0) if h == 0
@@ -330,21 +332,21 @@ CLASSES: dict[SubsetId, ClassSpec] = {
         brute_cap=20, walk_cap=10,  # 4.6 s, 105 MB; the walk 0.14 s
     ),
     SubsetId.NO_DOUBLE_EXC_OR_DEF: ClassSpec(
-        (has_no_double_excedance_or_deficiency,), "xvwt",
+        (has_no_double_excedance_or_deficiency,), ("xvwt",),
         down=lambda h, x, v, w, t, q: v * h * (t + h - 1),
         level=lambda h, x, v, w, t, q: (x * t, 0, 0),
         closed=egf_no_double_step_counts,
         brute_cap=15, walk_cap=11,  # 8.0 s, 94 MB; the walk 1.2 s
     ),
     SubsetId.INVOLUTIONS: ClassSpec(
-        (is_involution,), "xvwtq",
+        (is_involution,), ("xvwtq",),
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1) * _qbracket(q * q, h),
         level=lambda h, x, v, w, t, q: (x * t * q ** (2 * h), 0, 0),
         closed=egf_involution_counts,
         brute_cap=15, walk_cap=13,  # 3.2 s, 111 MB; the walk 2.3 s
     ),
     SubsetId.INVOLUTIONS321: ClassSpec(
-        (is_involution, avoids_321), "xvwtq",
+        (is_involution, avoids_321), ("xvwtq",),
         down=lambda h, x, v, w, t, q: v * t * q ** (2 * h - 1),
         level=lambda h, x, v, w, t, q: (x * t if h == 0 else 0, 0, 0),
         closed=lambda n: [comb(k, k // 2) for k in range(n + 1)],

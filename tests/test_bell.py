@@ -86,6 +86,26 @@ def test_path_family_enumerations_are_bell_counted():
         assert sum(1 for _ in enumerate_block_paths(n)) == BELL[n]
 
 
+@pytest.mark.parametrize(
+    "family, subset",
+    [
+        (STANDARD, SubsetId.ALL),
+        (CYCLE_PATHS, SubsetId.CYCLIC_INCREASING_EXC),
+        (BLOCK_PATHS, SubsetId.INCREASING_WEAK_EXC),
+    ],
+    ids=["standard", "elevated", "grounded"],
+)
+def test_each_familys_color_budgets_are_its_class_weights_at_ones(family, subset):
+    """The fiber-size law: a step has as many colors as its class's weight
+    counts at all-ones, so the path census is the class's continued fraction."""
+    spec, ones = subset.spec, (1,) * 5
+    assert family.elevated == spec.elevated
+    for h in range(13):
+        assert family.level_colors(h) == sum(spec.level(h, *ones)), h
+        if h:
+            assert family.down_colors(h) == spec.down(h, *ones), h
+
+
 def test_family_validators_accept_their_enumerations():
     for n in range(1, 7):
         for path in enumerate_cycle_paths(n):

@@ -103,6 +103,23 @@ def test_census_csv_output(capsys):
     assert lines[-1].split(",")[1] == "24"
 
 
+def test_census_columns_keep_their_order_whatever_the_sources_order(capsys):
+    code, out, _ = run(
+        capsys, "census", "--subset", "Avoid321", "--n-max", "3",
+        "--sources", "closed,cf,bf", "--csv",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,BruteForce,ContinuedFraction,ClosedForm"
+    assert lines[-1] == "3,5,5,5"
+
+
+def test_unmap_refuses_a_non_decimal_color_as_a_bad_token(capsys):
+    code, out, err = run(capsys, "unmap", "--path", "U D\u00b2")
+    assert code == 1 and out == ""
+    assert "bad path token" in err
+
+
 def test_census_marked_json_embeds_polynomials(capsys):
     code, data = run_json(
         capsys,

@@ -114,6 +114,12 @@ def test_rejects_a_term_that_is_not_an_int_or_a_fraction(terms):
         invert_jfraction(terms)
 
 
+def test_an_iterator_of_terms_gives_the_lists_result():
+    terms = [1, 1, 2, 5, 14, 42]
+    assert invert_jfraction(iter(terms)) == invert_jfraction(terms)
+    assert invert_jfraction(t for t in terms) == invert_jfraction(tuple(terms))
+
+
 def test_fractional_input_is_supported():
     rec = invert_jfraction([1, Fraction(1, 2), Fraction(1, 2), Fraction(5, 8)])
     assert rec.status is RecoveryStatus.COMPLETE

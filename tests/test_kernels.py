@@ -166,3 +166,16 @@ def test_check_size_is_the_only_cap_guard():
         if re.search(r"the cap is|cap of|capped at|<= \{\w*CAP\w*\}", line)
     ]
     assert len(hits) == 1 and hits[0] in inspect.getsource(check_size)
+
+
+def test_no_module_branches_on_a_class():
+    """A class-specific fact lives in the class's record, so no module
+    compares against a ``SubsetId`` member."""
+    src = Path(motzkinperm.__file__).parent
+    hits = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(r"(\bis|==|!=)\s*SubsetId\.", line)
+    ]
+    assert hits == []

@@ -60,6 +60,12 @@ def test_invalid_paths_are_rejected():
         ColoredMotzkinPath.parse("U1 D0")  # up steps carry no color
 
 
+@pytest.mark.parametrize("text", ["U D\u00b2", "U D\u2460", "U L\u00b9 D0", "U D+0", "U D 0"])
+def test_parse_refuses_a_color_that_is_not_decimal_digits(text):
+    with pytest.raises(ValueError, match="bad path token"):
+        ColoredMotzkinPath.parse(text)
+
+
 def test_from_pairs_checks_heights():
     path = ColoredMotzkinPath.from_pairs([("U", 0), ("L", 2), ("D", 0)])
     assert [s.height for s in path.steps] == [1, 1, 1]

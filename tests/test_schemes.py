@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from motzkinperm.oracle import consecutive_123_distribution, distribution
@@ -34,10 +36,7 @@ def test_lookup_by_subset_and_by_name_agree():
 
 def test_default_marks_are_the_supported_ones():
     for subset in SubsetId:
-        expected = frozenset(subset.spec.marks)
-        if subset is SubsetId.ALL:
-            expected = frozenset("xvwt")
-        assert scheme_for(subset).marks == expected
+        assert scheme_for(subset).marks == frozenset(subset.spec.marks[0])
 
 
 def test_unknown_scheme_name_is_rejected():
@@ -64,11 +63,26 @@ def test_unsupported_markers_are_rejected():
 
 
 def test_full_class_refuses_mixing_cycle_and_inversion_markers():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"carrying markers \['q', 't'\]"):
         scheme_for(SubsetId.ALL, marks="tq")
     # each alone is fine
     assert scheme_for(SubsetId.ALL, marks="xvwt").marks == frozenset("xvwt")
     assert scheme_for(SubsetId.ALL, marks="xvwq").marks == frozenset("xvwq")
+
+
+def test_every_subset_of_one_marker_set_is_accepted():
+    for name in scheme_names():
+        spec = EXTRA_SCHEMES.get(name) or SubsetId(name).spec
+        for marks in spec.marks:
+            for size in range(len(marks) + 1):
+                for chosen in combinations(marks, size):
+                    assert scheme_for(name, chosen).marks == frozenset(chosen)
+
+
+def test_the_run_scheme_is_the_full_class_with_w_alone():
+    run, full = EXTRA_SCHEMES["Consecutive123"], SubsetId.ALL.spec
+    assert run == full._replace(marks=("w",), closed=None)
+    assert scheme_for("Consecutive123").series(8) == scheme_for(SubsetId.ALL, "w").series(8)
 
 
 def test_nonsense_marker_letters_are_rejected():
